@@ -33,6 +33,7 @@ from .intervals import interval_reach_report
 from .semigroup import (
     DEFAULT_CLOSURE_CAP,
     semigroup_summary,
+    syntactic_complexity,
     transition_semigroup,
 )
 from .stateset import StateSet, parse_subset_label
@@ -57,7 +58,7 @@ def parse_dfa(text: str) -> Dfa:
     n: Optional[int] = None
     alphabet: tuple[str, ...] = ()
     initial: Optional[int] = None
-    finals_tokens: Optional[list[tuple[str, int]]] = None
+    finals: Optional[list[int]] = None
     rows: dict[str, list[tuple[str, int]]] = {}
     row_lines: dict[str, int] = {}
     stage = 0  # index into _HEADERS; past the end means transition rows
@@ -107,7 +108,14 @@ def parse_dfa(text: str) -> Dfa:
                         "initial state out of range", line=lineno, column=tokens[0][1]
                     )
             else:
-                finals_tokens = tokens
+                assert n is not None
+                finals = []
+                for tok, col in tokens:
+                    if not tok.isdigit() or int(tok) >= n:
+                        raise DfaParseError(
+                            "final state out of range", line=lineno, column=col
+                        )
+                    finals.append(int(tok))
             continue
         # transition rows
         if name in _HEADERS:
@@ -121,13 +129,7 @@ def parse_dfa(text: str) -> Dfa:
 
     if stage < len(_HEADERS):
         raise DfaParseError(f"missing section {_HEADERS[stage]!r}")
-    assert n is not None and initial is not None and finals_tokens is not None
-
-    finals = []
-    for tok, col in finals_tokens:
-        if not tok.isdigit() or int(tok) >= n:
-            raise DfaParseError("final state out of range", column=col)
-        finals.append(int(tok))
+    assert n is not None and initial is not None and finals is not None
 
     deltas = []
     for a in alphabet:
@@ -216,7 +218,7 @@ def cmd_analyze(args) -> int:
     d = parse_dfa(_read_document(args.file))
     dm = minimize(d)
     reports = atoms_of(d)
-    sc = len(transition_semigroup(dm, cap=args.max_closure))
+    sc = syntactic_complexity(dm, cap=args.max_closure)
     rev_qc = quotient_complexity(determinize(reverse(d)))
     data = {
         "states": d.n,

@@ -20,7 +20,7 @@ from .atoms import Atomaton, build_atomaton
 from .automata import Dfa, Word, minimize
 from .bounds import max_atom_complexity
 from .errors import FullSemigroupError, IntervalConsistencyError, NotAnAtomError
-from .semigroup import transition_semigroup
+from .semigroup import generates_full
 from .stateset import StateSet
 from .transformations import (
     Transformation,
@@ -101,10 +101,9 @@ def _require_full(d: Dfa) -> None:
             f"DFA is not minimal ({d.n} states, {minimize(d).n} needed); "
             "interval rules apply to minimal DFAs with full semigroup"
         )
-    size = len(transition_semigroup(d))
-    if size != d.n**d.n:
+    if not generates_full(d.deltas, d.n):
         raise FullSemigroupError(
-            f"transition semigroup has {size} elements, not the full {d.n ** d.n}; "
+            f"transition semigroup is not the full one of {d.n ** d.n} elements; "
             "interval rules require maximal syntactic complexity"
         )
 

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 from .automata import Dfa, determinize, minimize, quotient_complexity, reverse
 from .bounds import max_atom_complexity
 from .errors import AtomataError, EnumerationCapError
-from .semigroup import DEFAULT_CLOSURE_CAP, syntactic_complexity
+from .semigroup import DEFAULT_CLOSURE_CAP, _generates_full_raw, syntactic_complexity
 from .stateset import StateSet
 from .transformations import Transformation, identity, make_cycle, make_singular
 
@@ -29,6 +29,11 @@ LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 DEFAULT_MAX_ENUM_N = 4
 DEFAULT_MAX_ENUM_K = 3
+
+# Entries kept by each of the engine's per-letter-tuple caches.  Exhaustive
+# campaigns repeat a letter tuple only across consecutive final-state sets,
+# so the bound costs them no hits; it keeps memory flat over long campaigns.
+CACHE_MAXSIZE = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +242,8 @@ def sample_full_semigroup_dfa(
     """A random minimal DFA whose transition semigroup is all of T_n.
 
     Accept-reject: two random permutations plus a random singular map (plus
-    uniform extra letters beyond three); accepted once the closure is full.
+    uniform extra letters beyond three); accepted once the letters generate
+    the full semigroup.
     Finals are a uniform proper non-empty subset, which keeps the DFA
     minimal.
     """
@@ -260,7 +266,7 @@ def sample_full_semigroup_dfa(
         maps.append(tuple(sing))
         while len(maps) < k:
             maps.append(tuple(rng.randrange(n) for _ in range(n)))
-        if _closure_size(tuple(maps[:k]), n) != n**n:
+        if not _generates_full_raw(maps[:k], n):
             continue
         fbits = rng.randrange(1, 2**n - 1)
         return Dfa(
@@ -276,7 +282,7 @@ def sample_full_semigroup_dfa(
 # raw-tuple engine (hot loops; cross-checked against the public API in tests)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _closure_size(maps: tuple[tuple[int, ...], ...], n: int) -> int:
     """Size of the semigroup generated by the given map tuples."""
     full = n**n
@@ -371,7 +377,7 @@ def _eta_tables(n: int, pres: list[list[int]]) -> list[list[int]]:
     return tables
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _atom_complexities(maps: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
     """Quotient complexity of the atom labeled S, indexed by S's bitmask.
 
@@ -412,9 +418,8 @@ def full_semigroup_transition_tuples(
     """All k-letter transition tuples generating the full semigroup, in
     lexicographic order."""
     _check_enum_caps(n, k, max_n, max_k)
-    full = n**n
     for combo in itertools.product(all_maps(n), repeat=k):
-        if _closure_size(combo, n) == full:
+        if _generates_full_raw(combo, n):
             yield tuple(Transformation(m) for m in combo)
 
 
@@ -493,7 +498,7 @@ def verify_theorem3(
         report.scanned += 1
         if not _is_minimal_raw(n, maps, fbits):
             return
-        if _closure_size(maps, n) != full:
+        if not _generates_full_raw(maps, n):
             return
         report.tested += 1
         pres = _pre_tables(n, maps)
@@ -525,7 +530,7 @@ def verify_theorem3(
                 continue
             for rest in itertools.product(maps_list, repeat=k - 1):
                 maps = (first, *rest)
-                if _closure_size(maps, n) != full:
+                if not _generates_full_raw(maps, n):
                     report.scanned += 2**n
                     continue
                 for fbits in range(2**n):
@@ -565,17 +570,14 @@ def find_converse_counterexamples(
     if mode == "sample":
         params.update(samples=samples, seed=seed)
     report = CampaignReport(campaign, mode, params, timestamp=ts)
-    full = n**n
     all_atoms = 2**n
     bounds_by_size = [max_atom_complexity(n, n - size) for size in range(n + 1)]
     labels = _labels_by_bits(n)
-    hist: dict[int, int] = {}
 
     def check_instance(maps: tuple[tuple[int, ...], ...], fbits: int) -> bool:
         """Returns True when the finding limit has been hit."""
         report.scanned += 1
-        size = _closure_size(maps, n)
-        if size == full:
+        if _generates_full_raw(maps, n):
             return False
         if not _is_minimal_raw(n, maps, fbits):
             return False
@@ -589,11 +591,10 @@ def find_converse_counterexamples(
             for s_bits in range(all_atoms)
         ):
             return False
-        hist[size] = hist.get(size, 0) + 1
         report.findings.append(
             _record_from_metrics(
                 _make_dfa(n, k, maps, fbits),
-                sc=size,
+                sc=_closure_size(maps, n),
                 atom_count=all_atoms,
                 complexities={labels[b]: comps[b] for b in range(all_atoms)},
                 is_max=True,
@@ -614,7 +615,7 @@ def find_converse_counterexamples(
             for rest in itertools.product(maps_list, repeat=k - 1):
                 maps = (first, *rest)
                 reach = _reachable_bits(n, maps)
-                if reach != (1 << n) - 1 or _closure_size(maps, n) == full:
+                if reach != (1 << n) - 1 or _generates_full_raw(maps, n):
                     report.scanned += 2**n
                     continue
                 for fbits in range(2**n):
@@ -633,8 +634,15 @@ def find_converse_counterexamples(
                 break
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    report.extra["syntactic_complexities"] = {str(s): c for s, c in sorted(hist.items())}
+    report.extra["syntactic_complexities"] = _complexity_histogram(report.findings)
     return report
+
+
+def _complexity_histogram(findings: list[CampaignRecord]) -> dict[str, int]:
+    hist: dict[int, int] = {}
+    for rec in findings:
+        hist[rec.syntactic_complexity] = hist.get(rec.syntactic_complexity, 0) + 1
+    return {str(s): c for s, c in sorted(hist.items())}
 
 
 def run_sharded(
@@ -646,8 +654,13 @@ def run_sharded(
     **kwargs,
 ) -> CampaignReport:
     """Run an exhaustive campaign split by the first letter's transformation
-    index over worker processes; shards merge in shard order, so the result
-    equals the single-process run."""
+    index over worker processes.
+
+    Findings and violations merge in the order of a single-process run and
+    findings are cut to ``limit``, so the records equal that run's.  When
+    the limit cuts the merge, ``scanned`` and ``tested`` report the work the
+    shards did, which can exceed the single run's.
+    """
     if workers <= 1:
         return campaign_func(n, k, **kwargs)
     kwargs.setdefault("timestamp", _now(None))
@@ -666,16 +679,29 @@ def run_sharded(
         merged.tested += part.tested
         merged.violations.extend(part.violations)
         merged.findings.extend(part.findings)
-        for key, val in part.extra.items():
-            if isinstance(val, dict):
-                bucket = merged.extra.setdefault(key, {})
-                for s, c in val.items():
-                    bucket[s] = bucket.get(s, 0) + c
-            else:
-                merged.extra.setdefault(key, val)
+    merged.violations.sort(key=_enumeration_key)
+    merged.findings.sort(key=_enumeration_key)
+    limit = kwargs.get("limit")
+    if limit is not None:
+        del merged.findings[limit:]
+    if "syntactic_complexities" in merged.extra:
+        merged.extra["syntactic_complexities"] = _complexity_histogram(merged.findings)
     merged.params["num_shards"] = workers
     merged.params["shard"] = "merged"
     return merged
+
+
+def _enumeration_key(rec: CampaignRecord) -> tuple:
+    """Position of a record's DFA in the exhaustive enumeration.
+
+    Letter tuples come lexicographically (first letter's index, then the
+    rest), then the final-state bitmask; comparing the map tuples and the
+    bitmask gives exactly that order.
+    """
+    from .cli import parse_dfa
+
+    d = parse_dfa(rec.dfa)
+    return tuple(t.map for t in d.deltas), d.finals.bits
 
 
 def _run_shard(args) -> CampaignReport:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .automata import Dfa, minimize
@@ -171,8 +172,15 @@ def transition_semigroup(
 
 
 def syntactic_complexity(d: Dfa, *, cap: int = DEFAULT_CLOSURE_CAP) -> int:
-    """Size of the transition semigroup of the minimal DFA of the language."""
-    return len(transition_semigroup(minimize(d), cap=cap))
+    """Size of the transition semigroup of the minimal DFA of the language.
+
+    A full semigroup is recognised from its letters, so n^n comes without a
+    closure; any other size is counted by closing the letters.
+    """
+    dm = minimize(d)
+    if generates_full(dm.deltas, dm.n, cap=cap):
+        return dm.n**dm.n
+    return len(transition_semigroup(dm, cap=cap))
 
 
 def semigroup_summary(d: Dfa, *, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupSummary:
@@ -180,6 +188,42 @@ def semigroup_summary(d: Dfa, *, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupSum
     dm = minimize(d)
     sg = transition_semigroup(dm, cap=cap)
     return replace(sg.summary(), minimized_input=dm.n != d.n)
+
+
+def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
+    """Whether the map tuples generate all n^n self-maps of {0..n-1}.
+
+    For n >= 2 a set of maps generates T_n exactly when its permutations
+    generate S_n and one of its maps has rank n-1 (Howie, Fundamentals of
+    Semigroup Theory, 1995; Ganyushkin & Mazorchuk, Classical Finite
+    Transformation Semigroups, 2009).  Only the permutations are closed, a
+    group of at most n! elements instead of n^n.
+    """
+    if n == 1:
+        return bool(maps)
+    perms = []
+    has_rank_n1 = False
+    for m in maps:
+        rank = len(set(m))
+        if rank == n:
+            perms.append(m)
+        elif rank == n - 1:
+            has_rank_n1 = True
+    if not has_rank_n1:
+        return False
+    order = factorial(n)
+    group = set(perms)
+    frontier = list(group)
+    while frontier and len(group) < order:
+        nxt = []
+        for p in frontier:
+            for g in perms:
+                comp = tuple(g[v] for v in p)
+                if comp not in group:
+                    group.add(comp)
+                    nxt.append(comp)
+        frontier = nxt
+    return len(group) == order
 
 
 def generates_full(
@@ -192,9 +236,8 @@ def generates_full(
             raise DegreeMismatchError(f"generator degree {t.n} != {n}")
     if not gens:
         return False
-    named = [(f"g{i}", t) for i, t in enumerate(gens)]
-    elements, _ = _closure(named, n, witnesses=False, cap=cap)
-    return len(elements) == n**n
+    _check_cap(n, cap)
+    return _generates_full_raw([t.map for t in gens], n)
 
 
 def word_for(

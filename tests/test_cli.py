@@ -7,7 +7,7 @@ import _golden as G
 from atomata import Dfa, StateSet
 from atomata.cli import main, parse_dfa, serialize_dfa
 from atomata.errors import DfaParseError
-from atomata.search import example1
+from atomata.search import example1, find_converse_counterexamples
 from conftest import make_dfa
 
 
@@ -60,6 +60,12 @@ def test_parse_error_reports_position():
         parse_dfa("states: 3\nalphabet: a\ninitial: 0\nfinal: 1\na: 0 1 3\n")
 
 
+def test_parse_error_final_state_names_line():
+    with pytest.raises(DfaParseError, match="final state out of range") as err:
+        parse_dfa("states: 3\nalphabet: a\ninitial: 0\nfinal: 1 7\na: 0 1 2\n")
+    assert (err.value.line, err.value.column) == (4, 10)
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -96,6 +102,17 @@ def test_analyze_json(capsys, monkeypatch, tmp_path):
     by_label = {a["atom"]: a for a in data["atoms"]}
     assert by_label["012"]["complexity"] == 7
     assert by_label["01"]["bound"] == 10
+
+
+def test_analyze_json_not_full(capsys, tmp_path):
+    finding = find_converse_counterexamples(3, 3, limit=1, timestamp="fixed").findings[0]
+    path = tmp_path / "finding.dfa"
+    path.write_text(finding.dfa)
+    code, out, _ = _run(capsys, ["analyze", str(path), "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["syntactic_complexity"] == 24
+    assert data["is_full"] is False
 
 
 def test_analyze_single_state_empty_language(capsys, monkeypatch):

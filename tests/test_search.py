@@ -242,6 +242,30 @@ def test_run_sharded_merges():
     assert merged.violations == single.violations
 
 
+def test_run_sharded_matches_single_run_order():
+    single = find_converse_counterexamples(3, 2, timestamp="fixed")
+    merged = run_sharded(find_converse_counterexamples, 3, 2, workers=2, timestamp="fixed")
+    assert single.findings
+    assert merged.findings == single.findings
+    assert merged.violations == single.violations
+    assert merged.extra == single.extra
+
+
+def test_run_sharded_honours_limit():
+    single = find_converse_counterexamples(3, 3, limit=5, timestamp="fixed")
+    merged = run_sharded(
+        find_converse_counterexamples, 3, 3, workers=2, limit=5, timestamp="fixed"
+    )
+    assert len(merged.findings) == 5
+    assert merged.findings == single.findings
+    assert merged.extra == single.extra
+
+
+def test_engine_caches_are_bounded():
+    for cached in (_closure_size, _atom_complexities):
+        assert cached.cache_info().maxsize is not None
+
+
 def test_full_triples_count_n3():
     triples = list(full_semigroup_transition_tuples(3, 3))
     assert len(triples) == 972

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -19,9 +20,14 @@ from atomata import (
     transition_semigroup,
     word_for,
 )
-from atomata.errors import ClosureCapError
-from atomata.search import full_semigroup_transition_tuples, witness_max_semigroup
-from atomata.semigroup import _closure  # noqa: SLF001 - exercised directly
+from atomata.errors import ClosureCapError, DegreeMismatchError
+from atomata.search import (
+    _closure_size,
+    all_maps,
+    full_semigroup_transition_tuples,
+    witness_max_semigroup,
+)
+from atomata.semigroup import _closure, _generates_full_raw  # noqa: SLF001 - exercised directly
 from atomata.transformations import inverse
 from conftest import make_dfa
 
@@ -56,6 +62,34 @@ def test_permutations_only_not_full():
 
 def test_constant_alone():
     assert not generates_full([make_constant(3, 1)], 3)
+
+
+def test_generates_full_edge_cases():
+    assert not generates_full([], 3)
+    assert generates_full([identity(1)], 1)
+    with pytest.raises(DegreeMismatchError):
+        generates_full([identity(2)], 3)
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in (1, 2, 3, 4) for k in (1, 2)] + [(3, 3)]
+)
+def test_full_criterion_matches_closure_exhaustive(n, k):
+    """The generator criterion agrees with the closure on every letter tuple."""
+    closure_size = _closure_size.__wrapped__  # uncached closure, the oracle
+    for maps in itertools.product(all_maps(n), repeat=k):
+        assert _generates_full_raw(maps, n) == (closure_size(maps, n) == n**n), maps
+
+
+def test_generates_full_matches_closure_on_witness_letters():
+    """Every non-empty subset of the witness letters, against the closure."""
+    for n in range(2, 7):
+        letters = list(zip(("a", "b", "c"), witness_max_semigroup(n).deltas))
+        for size in (1, 2, 3):
+            for named in itertools.combinations(letters, size):
+                elements, _ = _closure(list(named), n, witnesses=False, cap=10**8)
+                want = len(elements) == n**n
+                assert generates_full([t for _, t in named], n) == want, (n, named)
 
 
 def test_single_state():
