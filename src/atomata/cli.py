@@ -33,7 +33,6 @@ from .intervals import interval_reach_report
 from .semigroup import (
     DEFAULT_CLOSURE_CAP,
     semigroup_summary,
-    syntactic_complexity,
     transition_semigroup,
 )
 from .stateset import StateSet, parse_subset_label
@@ -218,7 +217,7 @@ def cmd_analyze(args) -> int:
     d = parse_dfa(_read_document(args.file))
     dm = minimize(d)
     reports = atoms_of(d)
-    sc = syntactic_complexity(dm, cap=args.max_closure)
+    sc = len(transition_semigroup(dm, cap=args.max_closure))
     rev_qc = quotient_complexity(determinize(reverse(d)))
     data = {
         "states": d.n,

@@ -526,7 +526,7 @@ def verify_theorem3(
         _check_enum_caps(n, k, max_n, max_k)
         maps_list = all_maps(n)
         for first_index, first in enumerate(maps_list):
-            if first_index % num_shards != shard:
+            if first_index * num_shards // len(maps_list) != shard:
                 continue
             for rest in itertools.product(maps_list, repeat=k - 1):
                 maps = (first, *rest)
@@ -610,7 +610,7 @@ def find_converse_counterexamples(
         _check_enum_caps(n, k, max_n, max_k)
         maps_list = all_maps(n)
         for first_index, first in enumerate(maps_list):
-            if done or first_index % num_shards != shard:
+            if done or first_index * num_shards // len(maps_list) != shard:
                 continue
             for rest in itertools.product(maps_list, repeat=k - 1):
                 maps = (first, *rest)
@@ -653,13 +653,13 @@ def run_sharded(
     workers: int,
     **kwargs,
 ) -> CampaignReport:
-    """Run an exhaustive campaign split by the first letter's transformation
-    index over worker processes.
+    """Run an exhaustive campaign over worker processes, each shard taking
+    a contiguous block of the first letter's transformation indices.
 
-    Findings and violations merge in the order of a single-process run and
-    findings are cut to ``limit``, so the records equal that run's.  When
-    the limit cuts the merge, ``scanned`` and ``tested`` report the work the
-    shards did, which can exceed the single run's.
+    Shards join in shard order, which is the order of a single-process
+    run, and findings are cut to ``limit``, so the records equal that
+    run's.  When the limit cuts the merge, ``scanned`` and ``tested``
+    report the work the shards did, which can exceed the single run's.
     """
     if workers <= 1:
         return campaign_func(n, k, **kwargs)
@@ -679,8 +679,6 @@ def run_sharded(
         merged.tested += part.tested
         merged.violations.extend(part.violations)
         merged.findings.extend(part.findings)
-    merged.violations.sort(key=_enumeration_key)
-    merged.findings.sort(key=_enumeration_key)
     limit = kwargs.get("limit")
     if limit is not None:
         del merged.findings[limit:]
@@ -689,19 +687,6 @@ def run_sharded(
     merged.params["num_shards"] = workers
     merged.params["shard"] = "merged"
     return merged
-
-
-def _enumeration_key(rec: CampaignRecord) -> tuple:
-    """Position of a record's DFA in the exhaustive enumeration.
-
-    Letter tuples come lexicographically (first letter's index, then the
-    rest), then the final-state bitmask; comparing the map tuples and the
-    bitmask gives exactly that order.
-    """
-    from .cli import parse_dfa
-
-    d = parse_dfa(rec.dfa)
-    return tuple(t.map for t in d.deltas), d.finals.bits
 
 
 def _run_shard(args) -> CampaignReport:
