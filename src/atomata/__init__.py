@@ -10,7 +10,6 @@ from .atoms import (
     Atomaton,
     AtomReport,
     atom_count,
-    atom_labels,
     atom_minimal_dfa,
     atom_quotient_complexity,
     atoms_of,
@@ -29,7 +28,7 @@ from .automata import (
     reverse,
 )
 from .bounds import is_maximal_atoms, max_atom_complexity, max_over_r
-from .cli import parse_dfa, serialize_dfa
+from .document import parse_dfa, serialize_dfa
 from .errors import (
     AtomataError,
     ClosureCapError,

@@ -188,6 +188,32 @@ def atom_count(d: Dfa) -> int:
     return determinize(reverse(minimize(d))).n
 
 
+def _reachable_collections(etas, start: int) -> list[int]:
+    """Collections of atoms reachable from ``start`` in the determinized
+    atomaton, in breadth-first order from ``start`` itself.
+
+    A collection is a mask with bit S set for each member atom S, and
+    ``etas[a][S]`` is the mask of atom S's successors under letter a.  The
+    count is the quotient complexity of the atom when ``start`` = 1 << S:
+    the determinization is already minimal because atoms are disjoint and
+    non-empty.
+    """
+    seen = {start}
+    order = [start]
+    for cm in order:
+        for eta in etas:
+            nxt = 0
+            m = cm
+            while m:
+                b = m & -m
+                nxt |= eta[b.bit_length() - 1]
+                m ^= b
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
+
+
 def membership_in_atom(d: Dfa, s: StateSet, w: Word) -> bool:
     """Direct definition check: w belongs to quotient K_i exactly for i in s.
 
@@ -204,7 +230,3 @@ def membership_in_atom(d: Dfa, s: StateSet, w: Word) -> bool:
         if (dm.run(w, start=i) in dm.finals) != (i in s):
             return False
     return True
-
-
-def atom_labels(d: Dfa) -> tuple[StateSet, ...]:
-    return build_atomaton(d).states

@@ -77,10 +77,6 @@ class Dfa:
             t = compose(self.delta(a), t)
         return t
 
-    def without_labels(self) -> "Dfa":
-        return Dfa(self.n, self.alphabet, self.deltas, self.initial, self.finals)
-
-
 @dataclass(eq=True)
 class Nfa:
     """An NFA with initial-state *sets*; treat instances as immutable.

@@ -1,170 +1,27 @@
-"""Command-line front end: DFA text documents, analysis commands, campaigns.
-
-Document grammar (line oriented, ``#`` starts a comment)::
-
-    states: 3
-    alphabet: a b c d
-    initial: 0
-    final: 2
-    a: 1 0 2
-    b: 0 2 1
-    c: 0 1 0
-    d: 1 1 1
-
-Sections appear in that order; afterwards one transition row per letter
-(any row order).  ``final:`` may list no states.
-"""
+"""Command-line front end: analysis commands and campaigns over DFA documents."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import os
-import re
 import sys
-from typing import Optional
 
 from . import search
 from .atoms import atom_minimal_dfa, atoms_of, build_atomaton
-from .automata import Dfa, determinize, minimize, quotient_complexity, reverse
+from .automata import determinize, minimize, quotient_complexity, reverse
 from .bounds import max_atom_complexity, max_over_r
-from .errors import AtomataError, DfaParseError
+from .document import parse_dfa, serialize_dfa
+from .errors import AtomataError
 from .intervals import interval_reach_report
 from .semigroup import (
     DEFAULT_CLOSURE_CAP,
     semigroup_summary,
     transition_semigroup,
 )
-from .stateset import StateSet, parse_subset_label
-from .transformations import Transformation
+from .stateset import parse_subset_label
 
 ENV_PREFIX = "ATOMATA_"
-
-_SECTION_RE = re.compile(r"^\s*([^\s:]+)\s*:(.*)$")
-_TOKEN_RE = re.compile(r"\S+")
-
-
-# ---------------------------------------------------------------------------
-# DFA text format
-
-
-_HEADERS = ("states", "alphabet", "initial", "final")
-
-
-def parse_dfa(text: str) -> Dfa:
-    """Parse a DFA document; malformed input raises DfaParseError with the
-    line (and where it helps, column) of the offending token."""
-    n: Optional[int] = None
-    alphabet: tuple[str, ...] = ()
-    initial: Optional[int] = None
-    finals: Optional[list[int]] = None
-    rows: dict[str, list[tuple[str, int]]] = {}
-    row_lines: dict[str, int] = {}
-    stage = 0  # index into _HEADERS; past the end means transition rows
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        m = _SECTION_RE.match(line)
-        if m is None:
-            raise DfaParseError("expected 'name: ...'", line=lineno)
-        name = m.group(1)
-        rest_offset = m.start(2)
-        tokens = [
-            (t.group(0), rest_offset + t.start() + 1)
-            for t in _TOKEN_RE.finditer(m.group(2))
-        ]
-        if stage < len(_HEADERS):
-            want = _HEADERS[stage]
-            if name != want:
-                if name in _HEADERS[:stage]:
-                    raise DfaParseError(f"duplicate section {name!r}", line=lineno)
-                raise DfaParseError(
-                    f"expected section {want!r}, got {name!r}", line=lineno
-                )
-            stage += 1
-            if name == "states":
-                if len(tokens) != 1 or not tokens[0][0].isdigit():
-                    raise DfaParseError("states: wants one number", line=lineno)
-                n = int(tokens[0][0])
-                if n < 1:
-                    raise DfaParseError("state count must be positive", line=lineno)
-            elif name == "alphabet":
-                letters = [t for t, _ in tokens]
-                if not letters:
-                    raise DfaParseError("alphabet: wants at least one letter", line=lineno)
-                if len(set(letters)) != len(letters):
-                    raise DfaParseError("alphabet letters must be distinct", line=lineno)
-                alphabet = tuple(letters)
-            elif name == "initial":
-                if len(tokens) != 1 or not tokens[0][0].isdigit():
-                    raise DfaParseError("initial: wants one state", line=lineno)
-                initial = int(tokens[0][0])
-                assert n is not None
-                if initial >= n:
-                    raise DfaParseError(
-                        "initial state out of range", line=lineno, column=tokens[0][1]
-                    )
-            else:
-                assert n is not None
-                finals = []
-                for tok, col in tokens:
-                    if not tok.isdigit() or int(tok) >= n:
-                        raise DfaParseError(
-                            "final state out of range", line=lineno, column=col
-                        )
-                    finals.append(int(tok))
-            continue
-        # transition rows
-        if name in _HEADERS:
-            raise DfaParseError(f"duplicate section {name!r}", line=lineno)
-        if name not in alphabet:
-            raise DfaParseError(f"unknown letter {name!r}", line=lineno)
-        if name in rows:
-            raise DfaParseError(f"duplicate transition row for {name!r}", line=lineno)
-        rows[name] = tokens
-        row_lines[name] = lineno
-
-    if stage < len(_HEADERS):
-        raise DfaParseError(f"missing section {_HEADERS[stage]!r}")
-    assert n is not None and initial is not None and finals is not None
-
-    deltas = []
-    for a in alphabet:
-        if a not in rows:
-            raise DfaParseError(f"missing transition row for letter {a!r}")
-        tokens = rows[a]
-        if len(tokens) != n:
-            raise DfaParseError(
-                f"row for {a!r} needs {n} entries, got {len(tokens)}",
-                line=row_lines[a],
-            )
-        entries = []
-        for tok, col in tokens:
-            if not tok.isdigit() or int(tok) >= n:
-                raise DfaParseError(
-                    "state out of range", line=row_lines[a], column=col
-                )
-            entries.append(int(tok))
-        deltas.append(Transformation(entries))
-    return Dfa(n, alphabet, tuple(deltas), initial, StateSet(n, finals))
-
-
-def serialize_dfa(d: Dfa) -> str:
-    """Canonical document text; parse(serialize(d)) == d."""
-    for a in d.alphabet:
-        if _TOKEN_RE.fullmatch(a) is None or ":" in a or "#" in a:
-            raise ValueError(f"letter {a!r} cannot be written in the text format")
-    lines = [
-        f"states: {d.n}",
-        f"alphabet: {' '.join(d.alphabet)}",
-        f"initial: {d.initial}",
-        ("final: " + " ".join(str(q) for q in d.finals.members())).rstrip(),
-    ]
-    for a, t in zip(d.alphabet, d.deltas):
-        lines.append(f"{a}: {' '.join(str(v) for v in t.map)}")
-    return "\n".join(lines) + "\n"
 
 
 def _read_document(path: str) -> str:
@@ -183,11 +40,6 @@ def _emit(data: dict, args, render_text) -> None:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         render_text(data)
-
-
-def _collection_label(labels) -> str:
-    members = sorted(labels, key=lambda s: (len(s), s.members()))
-    return ",".join(s.label() for s in members) if members else "∅"
 
 
 def _atom_table_lines(atom_dicts: list[dict]) -> list[str]:
@@ -379,33 +231,34 @@ def _print_report(report: search.CampaignReport) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _campaign(func, args, **extra) -> int:
+    """Run an enumeration campaign, over ``--workers`` processes when
+    exhaustive, and print its JSONL."""
     mode = "sample" if args.samples is not None else "exhaustive"
+    report = search.run_sharded(
+        func,
+        args.n,
+        args.k,
+        workers=args.workers if mode == "exhaustive" else 1,
+        mode=mode,
+        samples=args.samples or 0,
+        seed=args.seed,
+        timestamp=args.timestamp,
+        max_n=args.max_enum_n,
+        max_k=args.max_enum_k,
+        **extra,
+    )
+    return _print_report(report)
+
+
+def cmd_verify(args) -> int:
+    if args.exhaustive and args.which != "prop1":
+        raise AtomataError(
+            f"--exhaustive applies to 'verify prop1' only, not 'verify {args.which}'"
+        )
     if args.which == "theorem3":
-        if args.workers > 1 and mode == "exhaustive":
-            report = search.run_sharded(
-                search.verify_theorem3,
-                args.n,
-                args.k,
-                workers=args.workers,
-                mode=mode,
-                seed=args.seed,
-                timestamp=args.timestamp,
-                max_n=args.max_enum_n,
-                max_k=args.max_enum_k,
-            )
-        else:
-            report = search.verify_theorem3(
-                args.n,
-                args.k,
-                mode=mode,
-                samples=args.samples or 0,
-                seed=args.seed,
-                timestamp=args.timestamp,
-                max_n=args.max_enum_n,
-                max_k=args.max_enum_k,
-            )
-    elif args.which == "prop1":
+        return _campaign(search.verify_theorem3, args)
+    if args.which == "prop1":
         report = search.verify_prop1(
             args.n,
             k=args.k,
@@ -428,33 +281,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    mode = "sample" if args.samples is not None else "exhaustive"
-    if args.workers > 1 and mode == "exhaustive":
-        report = search.run_sharded(
-            search.find_converse_counterexamples,
-            args.n,
-            args.k,
-            workers=args.workers,
-            mode=mode,
-            seed=args.seed,
-            limit=args.limit,
-            timestamp=args.timestamp,
-            max_n=args.max_enum_n,
-            max_k=args.max_enum_k,
-        )
-    else:
-        report = search.find_converse_counterexamples(
-            args.n,
-            args.k,
-            mode=mode,
-            samples=args.samples or 0,
-            seed=args.seed,
-            limit=args.limit,
-            timestamp=args.timestamp,
-            max_n=args.max_enum_n,
-            max_k=args.max_enum_k,
-        )
-    return _print_report(report)
+    return _campaign(search.find_converse_counterexamples, args, limit=args.limit)
 
 
 def cmd_witness(args) -> int:
@@ -498,7 +325,6 @@ def _add_closure_cap(p) -> None:
 def _add_campaign_opts(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=_env_int("SEED", 0))
     p.add_argument("--workers", type=int, default=_env_int("WORKERS", 1))
@@ -552,6 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification campaign (JSONL output)")
     p.add_argument("which", choices=("theorem3", "prop1", "prop2"))
     _add_campaign_opts(p)
+    p.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="prop1 only: also scan every full-semigroup minimal DFA",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="run a counterexample campaign (JSONL output)")

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional
 
-from .atoms import Atomaton, build_atomaton
+from .atoms import Atomaton, _reachable_collections, build_atomaton
 from .automata import Dfa, Word, minimize
 from .bounds import max_atom_complexity
 from .errors import FullSemigroupError, IntervalConsistencyError, NotAnAtomError
@@ -212,40 +212,20 @@ def _interval_walk(
         raise ValueError(f"state set universe {s.n} does not match {n}")
     if not am.has_atom(s):
         raise NotAnAtomError(f"{s.label()} does not label an atom of this language")
-    eta_mask = []
-    for a in am.alphabet:
-        table = {}
-        for src in am.nfa.states:
-            mask = 0
-            for succ in am.nfa.eta[(src, a)]:
-                mask |= 1 << succ.bits
-            table[src.bits] = mask
-        eta_mask.append(table)
-
-    start = 1 << s.bits
-    seen = {start}
-    queue = [start]
+    etas = [
+        {
+            src.bits: sum(1 << succ.bits for succ in am.nfa.eta[(src, a)])
+            for src in am.nfa.states
+        }
+        for a in am.alphabet
+    ]
+    collections = _reachable_collections(etas, 1 << s.bits)
     types: set[tuple[int, int]] = set()
-    sink = False
-    lo, hi = _interval_of_mask(n, start)
-    types.add((lo.bit_count(), hi.bit_count()))
-    for cm in queue:
-        for table in eta_mask:
-            nxt = 0
-            m = cm
-            while m:
-                b = m & -m
-                nxt |= table[b.bit_length() - 1]
-                m ^= b
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                if nxt == 0:
-                    sink = True
-                else:
-                    lo, hi = _interval_of_mask(n, nxt)
-                    types.add((lo.bit_count(), hi.bit_count()))
-    return len(seen), types, sink
+    for cm in collections:
+        if cm:
+            lo, hi = _interval_of_mask(n, cm)
+            types.add((lo.bit_count(), hi.bit_count()))
+    return len(collections), types, 0 in collections
 
 
 def interval_reach_count(d: Dfa, s: StateSet) -> int:

@@ -5,7 +5,11 @@ complexity forces all 2^n atoms to exist at their complexity bounds
 (zero violations expected), and that the converse fails (counterexample
 findings expected).  Hot loops run on raw transition tuples and bitmasks;
 findings and violations are re-expressed as ordinary Dfa values so every
-stored record can be recomputed with the public API.
+stored record can be recomputed with the public API.  The tests check the
+engine's kernels against oracles that share no code with them: the closure
+against a plain worklist closure, minimality and the atom count against
+``minimize`` and ``determinize(reverse(.))``, and the collection walk
+against each atom's determinized atomaton (``atoms_of``).
 """
 
 from __future__ import annotations
@@ -18,10 +22,17 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from typing import Iterator, Optional
 
+from .atoms import _reachable_collections
 from .automata import Dfa, determinize, minimize, quotient_complexity, reverse
 from .bounds import max_atom_complexity
+from .document import serialize_dfa
 from .errors import AtomataError, EnumerationCapError
-from .semigroup import DEFAULT_CLOSURE_CAP, _generates_full_raw, syntactic_complexity
+from .semigroup import (
+    DEFAULT_CLOSURE_CAP,
+    _close,
+    _generates_full_raw,
+    syntactic_complexity,
+)
 from .stateset import StateSet
 from .transformations import Transformation, identity, make_cycle, make_singular
 
@@ -279,27 +290,13 @@ def sample_full_semigroup_dfa(
 
 
 # ---------------------------------------------------------------------------
-# raw-tuple engine (hot loops; cross-checked against the public API in tests)
+# raw-tuple engine (hot loops; checked against independent oracles in tests)
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def _closure_size(maps: tuple[tuple[int, ...], ...], n: int) -> int:
     """Size of the semigroup generated by the given map tuples."""
-    full = n**n
-    index = set(maps)
-    frontier = list(index)
-    while frontier and len(index) < full:
-        nxt = []
-        for t in frontier:
-            for g in maps:
-                comp = tuple(g[v] for v in t)
-                if comp not in index:
-                    index.add(comp)
-                    nxt.append(comp)
-            if len(index) == full:
-                break
-        frontier = nxt
-    return len(index)
+    return len(_close(maps, n**n)[0])
 
 
 def _reachable_bits(n: int, maps: tuple[tuple[int, ...], ...]) -> int:
@@ -381,31 +378,12 @@ def _eta_tables(n: int, pres: list[list[int]]) -> list[list[int]]:
 def _atom_complexities(maps: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
     """Quotient complexity of the atom labeled S, indexed by S's bitmask.
 
-    Counts collections reachable from {S} in the determinized atomaton; the
-    determinization is already minimal because atoms are disjoint and
-    non-empty.  Only meaningful when all 2^n subsets are atoms.
+    Only meaningful when all 2^n subsets are atoms.
     """
-    pres = _pre_tables(n, maps)
-    etas = _eta_tables(n, pres)
-    out = []
-    for s_bits in range(1 << n):
-        start = 1 << s_bits
-        seen = {start}
-        stack = [start]
-        while stack:
-            cm = stack.pop()
-            for eta in etas:
-                nxt = 0
-                m = cm
-                while m:
-                    b = m & -m
-                    nxt |= eta[b.bit_length() - 1]
-                    m ^= b
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        out.append(len(seen))
-    return tuple(out)
+    etas = _eta_tables(n, _pre_tables(n, maps))
+    return tuple(
+        len(_reachable_collections(etas, 1 << s_bits)) for s_bits in range(1 << n)
+    )
 
 
 def full_semigroup_transition_tuples(
@@ -434,8 +412,6 @@ def _record_from_metrics(
     timestamp: str,
     seed: Optional[int],
 ) -> CampaignRecord:
-    from .cli import serialize_dfa
-
     return CampaignRecord(
         dfa=serialize_dfa(d),
         n=d.n,
@@ -450,10 +426,6 @@ def _record_from_metrics(
     )
 
 
-def _labels_by_bits(n: int) -> list[str]:
-    return [StateSet.from_bits(n, b).label() for b in range(1 << n)]
-
-
 def _make_dfa(n: int, k: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> Dfa:
     return Dfa(
         n,
@@ -462,6 +434,80 @@ def _make_dfa(n: int, k: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> 
         0,
         StateSet.from_bits(n, fbits),
     )
+
+
+def _atom_bounds(n: int) -> tuple[int, ...]:
+    """Complexity bound of the atom labeled S, indexed by S's bitmask."""
+    return tuple(max_atom_complexity(n, n - s.bit_count()) for s in range(1 << n))
+
+
+def _scan(
+    report: CampaignReport, records: list, prefilter, check, *, max_n: int, max_k: int
+) -> None:
+    """Run ``check(maps, fbits)`` on the DFAs of the campaign that
+    ``report.params`` describes, counting each in ``report.scanned``.
+
+    ``check`` returns None, or ``(syntactic complexity, atom count, atom
+    complexities by bitmask, all atoms maximal)`` for a DFA that is appended
+    to ``records``; the scan stops once ``params["limit"]`` records exist.
+    Exhaustive mode walks this shard's contiguous block of first-letter
+    indices in lexicographic order, final sets counting up, and passes over
+    the 2^n final sets of a letter tuple at once when ``prefilter(maps)`` is
+    false.  Sample mode draws the letter maps and then the final set from
+    ``params["seed"]``; ``check`` alone filters there.
+    """
+    params = report.params
+    n, k = params["n"], params["k"]
+    limit = params.get("limit")
+    seed = params.get("seed")  # present in sample mode only
+    labels = [StateSet.from_bits(n, b).label() for b in range(1 << n)]
+
+    def visit(maps: tuple[tuple[int, ...], ...], fbits: int) -> bool:
+        """Check one DFA; True when the record limit is reached."""
+        report.scanned += 1
+        found = check(maps, fbits)
+        if found is None:
+            return False
+        sc, atoms, comps, is_max = found
+        records.append(
+            _record_from_metrics(
+                _make_dfa(n, k, maps, fbits),
+                sc=sc,
+                atom_count=atoms,
+                complexities={labels[b]: comps[b] for b in range(1 << n)},
+                is_max=is_max,
+                campaign=report.campaign,
+                timestamp=report.timestamp,
+                seed=seed,
+            )
+        )
+        return limit is not None and len(records) >= limit
+
+    if report.mode == "exhaustive":
+        _check_enum_caps(n, k, max_n, max_k)
+        maps_list = all_maps(n)
+        shard, num_shards = params["shard"], params["num_shards"]
+        for first_index, first in enumerate(maps_list):
+            if first_index * num_shards // len(maps_list) != shard:
+                continue
+            for rest in itertools.product(maps_list, repeat=k - 1):
+                maps = (first, *rest)
+                if not prefilter(maps):
+                    report.scanned += 1 << n
+                    continue
+                for fbits in range(1 << n):
+                    if visit(maps, fbits):
+                        return
+    elif report.mode == "sample":
+        rng = random.Random(seed)
+        for _ in range(params["samples"]):
+            maps = tuple(
+                tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)
+            )
+            if visit(maps, rng.randrange(1 << n)):
+                return
+    else:
+        raise ValueError(f"unknown mode {report.mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,66 +530,27 @@ def verify_theorem3(
     """Check that every minimal DFA with full transition semigroup has all
     2^n atoms, each at its complexity bound.  Violations (none expected) are
     dumped as records."""
-    ts = _now(timestamp)
-    campaign = f"theorem3-n{n}k{k}-{mode}"
     params: dict = {"n": n, "k": k, "shard": shard, "num_shards": num_shards}
     if mode == "sample":
         params.update(samples=samples, seed=seed)
-    report = CampaignReport(campaign, mode, params, timestamp=ts)
-    full = n**n
-    bounds_by_size = [max_atom_complexity(n, n - size) for size in range(n + 1)]
-    labels = _labels_by_bits(n)
+    campaign = f"theorem3-n{n}k{k}-{mode}"
+    report = CampaignReport(campaign, mode, params, timestamp=_now(timestamp))
+    bounds = _atom_bounds(n)
 
-    def check_instance(maps: tuple[tuple[int, ...], ...], fbits: int) -> None:
-        report.scanned += 1
-        if not _is_minimal_raw(n, maps, fbits):
-            return
-        if not _generates_full_raw(maps, n):
-            return
+    def check(maps: tuple[tuple[int, ...], ...], fbits: int):
+        if not _is_minimal_raw(n, maps, fbits) or not _generates_full_raw(maps, n):
+            return None
         report.tested += 1
-        pres = _pre_tables(n, maps)
-        atoms = _reach_subsets(n, pres, fbits)
+        atoms = _reach_subsets(n, _pre_tables(n, maps), fbits)
         comps = _atom_complexities(maps, n)
-        bad = atoms != 2**n or any(
-            comps[s_bits] != bounds_by_size[s_bits.bit_count()]
-            for s_bits in range(2**n)
-        )
-        if bad:
-            report.violations.append(
-                _record_from_metrics(
-                    _make_dfa(n, k, maps, fbits),
-                    sc=full,
-                    atom_count=atoms,
-                    complexities={labels[b]: comps[b] for b in range(2**n)},
-                    is_max=False,
-                    campaign=campaign,
-                    timestamp=ts,
-                    seed=seed if mode == "sample" else None,
-                )
-            )
+        if atoms == 1 << n and comps == bounds:
+            return None
+        return n**n, atoms, comps, False
 
-    if mode == "exhaustive":
-        _check_enum_caps(n, k, max_n, max_k)
-        maps_list = all_maps(n)
-        for first_index, first in enumerate(maps_list):
-            if first_index * num_shards // len(maps_list) != shard:
-                continue
-            for rest in itertools.product(maps_list, repeat=k - 1):
-                maps = (first, *rest)
-                if not _generates_full_raw(maps, n):
-                    report.scanned += 2**n
-                    continue
-                for fbits in range(2**n):
-                    check_instance(maps, fbits)
-    elif mode == "sample":
-        rng = random.Random(seed)
-        for _ in range(samples):
-            maps = tuple(
-                tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)
-            )
-            check_instance(maps, rng.randrange(2**n))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    def prefilter(maps: tuple[tuple[int, ...], ...]) -> bool:
+        return _generates_full_raw(maps, n)
+
+    _scan(report, report.violations, prefilter, check, max_n=max_n, max_k=max_k)
     return report
 
 
@@ -564,76 +571,29 @@ def find_converse_counterexamples(
     """Minimal DFAs whose atoms are all maximal although the syntactic
     complexity is below n^n.  Findings land in the report together with the
     multiset of syntactic complexities observed among them."""
-    ts = _now(timestamp)
-    campaign = f"search-converse-n{n}k{k}-{mode}"
     params: dict = {"n": n, "k": k, "limit": limit, "shard": shard, "num_shards": num_shards}
     if mode == "sample":
         params.update(samples=samples, seed=seed)
-    report = CampaignReport(campaign, mode, params, timestamp=ts)
-    all_atoms = 2**n
-    bounds_by_size = [max_atom_complexity(n, n - size) for size in range(n + 1)]
-    labels = _labels_by_bits(n)
+    campaign = f"search-converse-n{n}k{k}-{mode}"
+    report = CampaignReport(campaign, mode, params, timestamp=_now(timestamp))
+    bounds = _atom_bounds(n)
 
-    def check_instance(maps: tuple[tuple[int, ...], ...], fbits: int) -> bool:
-        """Returns True when the finding limit has been hit."""
-        report.scanned += 1
-        if _generates_full_raw(maps, n):
-            return False
-        if not _is_minimal_raw(n, maps, fbits):
-            return False
+    def check(maps: tuple[tuple[int, ...], ...], fbits: int):
+        if _generates_full_raw(maps, n) or not _is_minimal_raw(n, maps, fbits):
+            return None
         report.tested += 1
-        pres = _pre_tables(n, maps)
-        if _reach_subsets(n, pres, fbits) != all_atoms:
-            return False
+        if _reach_subsets(n, _pre_tables(n, maps), fbits) != 1 << n:
+            return None
         comps = _atom_complexities(maps, n)
-        if any(
-            comps[s_bits] != bounds_by_size[s_bits.bit_count()]
-            for s_bits in range(all_atoms)
-        ):
-            return False
-        report.findings.append(
-            _record_from_metrics(
-                _make_dfa(n, k, maps, fbits),
-                sc=_closure_size(maps, n),
-                atom_count=all_atoms,
-                complexities={labels[b]: comps[b] for b in range(all_atoms)},
-                is_max=True,
-                campaign=campaign,
-                timestamp=ts,
-                seed=seed if mode == "sample" else None,
-            )
-        )
-        return limit is not None and len(report.findings) >= limit
+        if comps != bounds:
+            return None
+        return _closure_size(maps, n), 1 << n, comps, True
 
-    done = False
-    if mode == "exhaustive":
-        _check_enum_caps(n, k, max_n, max_k)
-        maps_list = all_maps(n)
-        for first_index, first in enumerate(maps_list):
-            if done or first_index * num_shards // len(maps_list) != shard:
-                continue
-            for rest in itertools.product(maps_list, repeat=k - 1):
-                maps = (first, *rest)
-                reach = _reachable_bits(n, maps)
-                if reach != (1 << n) - 1 or _generates_full_raw(maps, n):
-                    report.scanned += 2**n
-                    continue
-                for fbits in range(2**n):
-                    if check_instance(maps, fbits):
-                        done = True
-                        break
-                if done:
-                    break
-    elif mode == "sample":
-        rng = random.Random(seed)
-        for _ in range(samples):
-            maps = tuple(
-                tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)
-            )
-            if check_instance(maps, rng.randrange(2**n)):
-                break
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    def prefilter(maps: tuple[tuple[int, ...], ...]) -> bool:
+        reach = _reachable_bits(n, maps)
+        return reach == (1 << n) - 1 and not _generates_full_raw(maps, n)
+
+    _scan(report, report.findings, prefilter, check, max_n=max_n, max_k=max_k)
     report.extra["syntactic_complexities"] = _complexity_histogram(report.findings)
     return report
 
@@ -663,7 +623,8 @@ def run_sharded(
     """
     if workers <= 1:
         return campaign_func(n, k, **kwargs)
-    kwargs.setdefault("timestamp", _now(None))
+    # one timestamp for every shard's records, even when none was given
+    kwargs["timestamp"] = _now(kwargs.get("timestamp"))
     from concurrent.futures import ProcessPoolExecutor
 
     shards = [

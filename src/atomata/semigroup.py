@@ -118,6 +118,39 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
+def _close(
+    maps: Sequence[tuple[int, ...]],
+    limit: int,
+    letters: Optional[Sequence[str]] = None,
+) -> tuple[list[tuple[int, ...]], Optional[list[str]]]:
+    """Breadth-first closure of map tuples under composition.
+
+    Elements come in discovery order: the distinct generators, then each
+    known element, in order, composed with every generator in turn, so the
+    first word reaching an element is a shortest one.  The walk stops once
+    ``limit`` elements are known; pass the largest size the closure can
+    have.  When ``letters`` names the generators, the first word inducing
+    each element comes back too.
+    """
+    elements = list(dict.fromkeys(maps))
+    words = None if letters is None else [letters[maps.index(g)] for g in elements]
+    index = set(elements)
+    # elements double as the breadth-first queue: each level is appended
+    # after the one it extends
+    for i, base in enumerate(elements):
+        if len(elements) >= limit:
+            break
+        for j, g in enumerate(maps):
+            # word extended on the right by letter j: q goes to g(base(q))
+            comp = tuple([g[v] for v in base])
+            if comp not in index:
+                index.add(comp)
+                elements.append(comp)
+                if words is not None:
+                    words.append(words[i] + letters[j])
+    return elements, words
+
+
 def _closure(
     generators: Sequence[tuple[str, Transformation]],
     n: int,
@@ -126,34 +159,12 @@ def _closure(
     cap: int,
 ) -> tuple[list[Transformation], Optional[list[str]]]:
     _check_cap(n, cap)
-    full = n**n
-    elements: list[Transformation] = []
-    words: Optional[list[str]] = [] if witnesses else None
-    index: dict[tuple[int, ...], int] = {}
-    for a, t in generators:
-        if t.map not in index:
-            index[t.map] = len(elements)
-            elements.append(t)
-            if words is not None:
-                words.append(a)
-    frontier = list(range(len(elements)))
-    while frontier and len(elements) < full:
-        nxt = []
-        for i in frontier:
-            base = elements[i]
-            for a, g in generators:
-                # word extended on the right by a: new map sends q to g(base(q))
-                comp = tuple(g.map[v] for v in base.map)
-                if comp not in index:
-                    index[comp] = len(elements)
-                    elements.append(Transformation(comp))
-                    if words is not None:
-                        words.append(words[i] + a)
-                    nxt.append(len(elements) - 1)
-            if len(elements) == full:
-                break
-        frontier = nxt
-    return elements, words
+    maps, words = _close(
+        [t.map for _, t in generators],
+        n**n,
+        [a for a, _ in generators] if witnesses else None,
+    )
+    return [Transformation(m) for m in maps], words
 
 
 def transition_semigroup(
@@ -212,18 +223,7 @@ def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
     if not has_rank_n1:
         return False
     order = factorial(n)
-    group = set(perms)
-    frontier = list(group)
-    while frontier and len(group) < order:
-        nxt = []
-        for p in frontier:
-            for g in perms:
-                comp = tuple(g[v] for v in p)
-                if comp not in group:
-                    group.add(comp)
-                    nxt.append(comp)
-        frontier = nxt
-    return len(group) == order
+    return len(_close(perms, order)[0]) == order
 
 
 def generates_full(

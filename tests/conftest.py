@@ -30,3 +30,21 @@ def random_dfas(seed, count, max_n=4, max_k=3):
         n = rng.randint(1, max_n)
         k = rng.randint(1, max_k)
         yield random_dfa(rng, n, k)
+
+
+def worklist_closure(maps):
+    """Every map that a non-empty word over ``maps`` induces.
+
+    A plain worklist with no early stop, sharing no code with the package's
+    closure: the oracle for it and for the full-semigroup criterion.
+    """
+    seen = set(maps)
+    work = list(seen)
+    while work:
+        t = work.pop()
+        for g in maps:
+            comp = tuple(g[v] for v in t)
+            if comp not in seen:
+                seen.add(comp)
+                work.append(comp)
+    return seen

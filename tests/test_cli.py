@@ -1,7 +1,14 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import atomata
 
 import _golden as G
 from atomata import Dfa, StateSet
@@ -275,3 +282,70 @@ def test_env_fallback(capsys, monkeypatch, tmp_path):
     # explicit flag wins over the environment
     code, out, _ = _run(capsys, ["semigroup", str(path), "--max-closure", str(10**8)])
     assert code == 0
+
+
+def test_exhaustive_flag_rejected_by_search(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "converse", "--n", "3", "--exhaustive", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "--exhaustive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["theorem3", "prop2"])
+def test_exhaustive_flag_rejected_by_verify(capsys, which):
+    code, out, err = _run(capsys, ["verify", which, "--n", "3", "--exhaustive", "--samples", "5"])
+    assert code == 1
+    assert out == ""
+    assert "--exhaustive" in err
+
+
+def test_cli_module_runs_without_runpy_warning():
+    env = dict(os.environ, PYTHONPATH=str(Path(atomata.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "atomata.cli", "bounds", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+# sha256 of stdout at the commit before the closures, collection walks and
+# campaign loops were merged into one kernel each; "EX1" stands for a file
+# holding the example1 document.
+PINNED_OUTPUTS = [
+    (
+        ["verify", "theorem3", "--n", "3", "--k", "2"],
+        "4ac5563b508d3b4990f7e04e852a3873e8c8aa02fc23c6a71a2890cfa69b1a3b",
+    ),
+    (
+        ["search", "converse", "--n", "3", "--k", "2"],
+        "2c2ca48a3cb5ef69e32fa0e2bb5a2b67001253970947e28a51a4ef88cd34a660",
+    ),
+    (
+        ["verify", "theorem3", "--n", "4", "--k", "3", "--samples", "2000", "--seed", "1"],
+        "6cbffc718dc2bcff69f97afa2f2c6f0b5552dbedba324025abe6c9501e899c8c",
+    ),
+    (
+        ["search", "converse", "--n", "4", "--k", "3", "--samples", "2000", "--seed", "1"],
+        "50e1afbb46e218bc8c7735ede7d1f70b1376058afc9bc6d06bda8860863604aa",
+    ),
+    (
+        ["semigroup", "EX1", "--witnesses", "--format", "json"],
+        "d75a92ff0c0e995afd0e84f30da88514cd0cedc26953c6772bca44f217229838",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
+def test_output_is_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "ex1.dfa"
+    path.write_text(G.FIXTURE_TEXT)
+    argv = [str(path) if a == "EX1" else a for a in argv]
+    if argv[0] != "semigroup":
+        argv += ["--timestamp", "2013-02-15T00:00:00+00:00"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

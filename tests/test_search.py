@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from atomata import atoms_of, is_minimal, syntactic_complexity
+from atomata import atom_count, atoms_of, is_minimal, syntactic_complexity, transition_semigroup
 from atomata.cli import parse_dfa
 from atomata.errors import EnumerationCapError
 from atomata.search import (
@@ -23,7 +23,10 @@ from atomata.search import (
     _atom_complexities,
     _closure_size,
     _is_minimal_raw,
+    _pre_tables,
+    _reach_subsets,
 )
+from conftest import worklist_closure
 
 
 # --- enumeration -------------------------------------------------------------
@@ -73,9 +76,20 @@ def test_engine_closure_matches_public():
         n = rng.randint(1, 4)
         d = random_dfa(rng, n, 3)
         maps = tuple(t.map for t in d.deltas)
-        from atomata.semigroup import transition_semigroup
+        size = len(worklist_closure(maps))
+        assert _closure_size(maps, n) == size
+        assert len(transition_semigroup(d)) == size
 
-        assert _closure_size(maps, n) == len(transition_semigroup(d))
+
+def test_engine_atom_count_matches_public():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        d = random_dfa(rng, n, rng.randint(1, 3))
+        if not is_minimal(d):
+            continue
+        maps = tuple(t.map for t in d.deltas)
+        assert _reach_subsets(n, _pre_tables(n, maps), d.finals.bits) == atom_count(d)
 
 
 def test_engine_atom_complexities_match_public():

@@ -22,14 +22,13 @@ from atomata import (
 )
 from atomata.errors import ClosureCapError, DegreeMismatchError
 from atomata.search import (
-    _closure_size,
     all_maps,
     full_semigroup_transition_tuples,
     witness_max_semigroup,
 )
 from atomata.semigroup import _closure, _generates_full_raw  # noqa: SLF001 - exercised directly
 from atomata.transformations import inverse
-from conftest import make_dfa
+from conftest import make_dfa, worklist_closure
 
 
 def test_example1_closure_size(ex1):
@@ -76,20 +75,19 @@ def test_generates_full_edge_cases():
 )
 def test_full_criterion_matches_closure_exhaustive(n, k):
     """The generator criterion agrees with the closure on every letter tuple."""
-    closure_size = _closure_size.__wrapped__  # uncached closure, the oracle
     for maps in itertools.product(all_maps(n), repeat=k):
-        assert _generates_full_raw(maps, n) == (closure_size(maps, n) == n**n), maps
+        full = len(worklist_closure(maps)) == n**n
+        assert _generates_full_raw(maps, n) == full, maps
 
 
 def test_generates_full_matches_closure_on_witness_letters():
     """Every non-empty subset of the witness letters, against the closure."""
     for n in range(2, 7):
-        letters = list(zip(("a", "b", "c"), witness_max_semigroup(n).deltas))
+        letters = witness_max_semigroup(n).deltas
         for size in (1, 2, 3):
-            for named in itertools.combinations(letters, size):
-                elements, _ = _closure(list(named), n, witnesses=False, cap=10**8)
-                want = len(elements) == n**n
-                assert generates_full([t for _, t in named], n) == want, (n, named)
+            for gens in itertools.combinations(letters, size):
+                want = len(worklist_closure([t.map for t in gens])) == n**n
+                assert generates_full(gens, n) == want, (n, gens)
 
 
 def test_single_state():
