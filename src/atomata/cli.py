@@ -235,6 +235,11 @@ def _campaign(func, args, **extra) -> int:
     """Run an enumeration campaign, over ``--workers`` processes when
     exhaustive, and print its JSONL."""
     mode = "sample" if args.samples is not None else "exhaustive"
+    if mode == "sample" and args.workers > 1:
+        print(
+            "atomata: note: sampling runs in one process; --workers is ignored",
+            file=sys.stderr,
+        )
     report = search.run_sharded(
         func,
         args.n,

@@ -10,6 +10,12 @@ engine's kernels against oracles that share no code with them: the closure
 against a plain worklist closure, minimality and the atom count against
 ``minimize`` and ``determinize(reverse(.))``, and the collection walk
 against each atom's determinized atomaton (``atoms_of``).
+
+Both campaigns run in two stages.  The letter stage holds the filters that
+depend on the letter tuple alone (full semigroup or not, reachability) and
+runs once per tuple; the final-set stage holds those that also depend on
+the final states (minimality, the atom count, every atom at its bound) and
+runs once per final set of a tuple that the letter stage let through.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator, Optional
 
 from .atoms import _reachable_collections
@@ -228,23 +234,32 @@ def enumerate_dfas(
     symmetry reduction over letter renaming (off by default).
     """
     _check_enum_caps(n, k, max_n, max_k)
-    alphabet = tuple(LETTER_NAMES[:k])
-    maps = all_maps(n)
-    for combo in itertools.product(maps, repeat=k):
+    for combo in itertools.product(all_maps(n), repeat=k):
         if canonical_letters and any(combo[i] > combo[i + 1] for i in range(k - 1)):
             continue
-        deltas = tuple(Transformation(m) for m in combo)
         for fbits in range(2**n):
-            yield Dfa(n, alphabet, deltas, 0, StateSet.from_bits(n, fbits))
+            yield _make_dfa(n, k, combo, fbits)
+
+
+def _draw(rng: random.Random, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Uniform letter maps, then a uniform final-set bitmask, in that order."""
+    maps = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
+    return maps, rng.randrange(1 << n)
 
 
 def random_dfa(rng: random.Random, n: int, k: int) -> Dfa:
     """Uniform over transition tuples and final sets; initial state 0."""
-    alphabet = tuple(LETTER_NAMES[:k])
-    deltas = tuple(
-        Transformation(tuple(rng.randrange(n) for _ in range(n))) for _ in range(k)
+    return _make_dfa(n, k, *_draw(rng, n, k))
+
+
+def _make_dfa(n: int, k: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> Dfa:
+    return Dfa(
+        n,
+        tuple(LETTER_NAMES[:k]),
+        tuple(Transformation(m) for m in maps),
+        0,
+        StateSet.from_bits(n, fbits),
     )
-    return Dfa(n, alphabet, deltas, 0, StateSet.from_bits(n, rng.randrange(2**n)))
 
 
 def sample_full_semigroup_dfa(
@@ -262,7 +277,6 @@ def sample_full_semigroup_dfa(
         raise ValueError(f"at least 3 letters are needed for a full semigroup at n={n}")
     if n < 2:
         return witness_max_semigroup(n)
-    alphabet = tuple(LETTER_NAMES[:k])
     while True:
         maps = [
             tuple(rng.sample(range(n), n)),
@@ -279,14 +293,7 @@ def sample_full_semigroup_dfa(
             maps.append(tuple(rng.randrange(n) for _ in range(n)))
         if not _generates_full_raw(maps[:k], n):
             continue
-        fbits = rng.randrange(1, 2**n - 1)
-        return Dfa(
-            n,
-            alphabet,
-            tuple(Transformation(m) for m in maps[:k]),
-            0,
-            StateSet.from_bits(n, fbits),
-        )
+        return _make_dfa(n, k, maps[:k], rng.randrange(1, 2**n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -426,35 +433,27 @@ def _record_from_metrics(
     )
 
 
-def _make_dfa(n: int, k: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> Dfa:
-    return Dfa(
-        n,
-        tuple(LETTER_NAMES[:k]),
-        tuple(Transformation(m) for m in maps),
-        0,
-        StateSet.from_bits(n, fbits),
-    )
-
-
 def _atom_bounds(n: int) -> tuple[int, ...]:
     """Complexity bound of the atom labeled S, indexed by S's bitmask."""
     return tuple(max_atom_complexity(n, n - s.bit_count()) for s in range(1 << n))
 
 
 def _scan(
-    report: CampaignReport, records: list, prefilter, check, *, max_n: int, max_k: int
+    report: CampaignReport, records: list, letters, check, *, max_n: int, max_k: int
 ) -> None:
-    """Run ``check(maps, fbits)`` on the DFAs of the campaign that
-    ``report.params`` describes, counting each in ``report.scanned``.
+    """Run the two stages of the campaign that ``report.params`` describes,
+    counting each DFA in ``report.scanned``.
 
-    ``check`` returns None, or ``(syntactic complexity, atom count, atom
-    complexities by bitmask, all atoms maximal)`` for a DFA that is appended
-    to ``records``; the scan stops once ``params["limit"]`` records exist.
-    Exhaustive mode walks this shard's contiguous block of first-letter
-    indices in lexicographic order, final sets counting up, and passes over
-    the 2^n final sets of a letter tuple at once when ``prefilter(maps)`` is
-    false.  Sample mode draws the letter maps and then the final set from
-    ``params["seed"]``; ``check`` alone filters there.
+    ``letters(maps)`` is the letter stage: None passes over the letter
+    tuple, anything else is the tuple's state.  ``check(maps, state,
+    fbits)`` is the final-set stage; it returns None, or ``(syntactic
+    complexity, atom count, atom complexities by bitmask, all atoms
+    maximal)`` for a DFA that is appended to ``records``.  The scan stops
+    once ``params["limit"]`` records exist.  Exhaustive mode walks this
+    shard's contiguous block of first-letter indices in lexicographic
+    order, runs ``letters`` once per tuple and ``check`` on its final sets
+    counting up.  Sample mode draws the letter maps and then the final set
+    from ``params["seed"]``, and runs both stages on each draw.
     """
     params = report.params
     n, k = params["n"], params["k"]
@@ -462,10 +461,10 @@ def _scan(
     seed = params.get("seed")  # present in sample mode only
     labels = [StateSet.from_bits(n, b).label() for b in range(1 << n)]
 
-    def visit(maps: tuple[tuple[int, ...], ...], fbits: int) -> bool:
+    def visit(maps: tuple[tuple[int, ...], ...], state, fbits: int) -> bool:
         """Check one DFA; True when the record limit is reached."""
         report.scanned += 1
-        found = check(maps, fbits)
+        found = check(maps, state, fbits)
         if found is None:
             return False
         sc, atoms, comps, is_max = found
@@ -492,19 +491,21 @@ def _scan(
                 continue
             for rest in itertools.product(maps_list, repeat=k - 1):
                 maps = (first, *rest)
-                if not prefilter(maps):
+                state = letters(maps)
+                if state is None:
                     report.scanned += 1 << n
                     continue
                 for fbits in range(1 << n):
-                    if visit(maps, fbits):
+                    if visit(maps, state, fbits):
                         return
     elif report.mode == "sample":
         rng = random.Random(seed)
         for _ in range(params["samples"]):
-            maps = tuple(
-                tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)
-            )
-            if visit(maps, rng.randrange(1 << n)):
+            maps, fbits = _draw(rng, n, k)
+            state = letters(maps)
+            if state is None:
+                report.scanned += 1
+            elif visit(maps, state, fbits):
                 return
     else:
         raise ValueError(f"unknown mode {report.mode!r}")
@@ -537,20 +538,22 @@ def verify_theorem3(
     report = CampaignReport(campaign, mode, params, timestamp=_now(timestamp))
     bounds = _atom_bounds(n)
 
-    def check(maps: tuple[tuple[int, ...], ...], fbits: int):
-        if not _is_minimal_raw(n, maps, fbits) or not _generates_full_raw(maps, n):
+    def letters(maps: tuple[tuple[int, ...], ...]):
+        if not _generates_full_raw(maps, n):
+            return None
+        return cache(lambda: _pre_tables(n, maps))
+
+    def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
+        if not _is_minimal_raw(n, maps, fbits):
             return None
         report.tested += 1
-        atoms = _reach_subsets(n, _pre_tables(n, maps), fbits)
+        atoms = _reach_subsets(n, pres(), fbits)
         comps = _atom_complexities(maps, n)
         if atoms == 1 << n and comps == bounds:
             return None
         return n**n, atoms, comps, False
 
-    def prefilter(maps: tuple[tuple[int, ...], ...]) -> bool:
-        return _generates_full_raw(maps, n)
-
-    _scan(report, report.violations, prefilter, check, max_n=max_n, max_k=max_k)
+    _scan(report, report.violations, letters, check, max_n=max_n, max_k=max_k)
     return report
 
 
@@ -578,22 +581,23 @@ def find_converse_counterexamples(
     report = CampaignReport(campaign, mode, params, timestamp=_now(timestamp))
     bounds = _atom_bounds(n)
 
-    def check(maps: tuple[tuple[int, ...], ...], fbits: int):
-        if _generates_full_raw(maps, n) or not _is_minimal_raw(n, maps, fbits):
+    def letters(maps: tuple[tuple[int, ...], ...]):
+        if _reachable_bits(n, maps) != (1 << n) - 1 or _generates_full_raw(maps, n):
+            return None
+        return cache(lambda: _pre_tables(n, maps))
+
+    def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
+        if not _is_minimal_raw(n, maps, fbits):
             return None
         report.tested += 1
-        if _reach_subsets(n, _pre_tables(n, maps), fbits) != 1 << n:
+        if _reach_subsets(n, pres(), fbits) != 1 << n:
             return None
         comps = _atom_complexities(maps, n)
         if comps != bounds:
             return None
         return _closure_size(maps, n), 1 << n, comps, True
 
-    def prefilter(maps: tuple[tuple[int, ...], ...]) -> bool:
-        reach = _reachable_bits(n, maps)
-        return reach == (1 << n) - 1 and not _generates_full_raw(maps, n)
-
-    _scan(report, report.findings, prefilter, check, max_n=max_n, max_k=max_k)
+    _scan(report, report.findings, letters, check, max_n=max_n, max_k=max_k)
     report.extra["syntactic_complexities"] = _complexity_histogram(report.findings)
     return report
 
@@ -627,13 +631,12 @@ def run_sharded(
     kwargs["timestamp"] = _now(kwargs.get("timestamp"))
     from concurrent.futures import ProcessPoolExecutor
 
-    shards = [
-        dict(kwargs, shard=i, num_shards=workers) for i in range(workers)
-    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(_run_shard, [(campaign_func.__name__, n, k, kw) for kw in shards])
-        )
+        futures = [
+            pool.submit(campaign_func, n, k, **dict(kwargs, shard=i, num_shards=workers))
+            for i in range(workers)
+        ]
+        parts = [f.result() for f in futures]
     merged = parts[0]
     for part in parts[1:]:
         merged.scanned += part.scanned
@@ -648,13 +651,6 @@ def run_sharded(
     merged.params["num_shards"] = workers
     merged.params["shard"] = "merged"
     return merged
-
-
-def _run_shard(args) -> CampaignReport:
-    name, n, k, kwargs = args
-    func = {"verify_theorem3": verify_theorem3,
-            "find_converse_counterexamples": find_converse_counterexamples}[name]
-    return func(n, k, **kwargs)
 
 
 def verify_prop1(

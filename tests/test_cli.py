@@ -251,6 +251,17 @@ def test_search_converse_cli(capsys):
     assert summary["ok"] is True  # findings are success
 
 
+@pytest.mark.parametrize("which", ["verify theorem3", "search converse"])
+def test_sampling_notes_ignored_workers(capsys, which):
+    argv = [*which.split(), "--n", "3", "--samples", "300", "--seed", "2", "--timestamp", "t0"]
+    code, single, err = _run(capsys, argv + ["--workers", "1"])
+    assert code == 0 and err == ""
+    code, out, err = _run(capsys, argv + ["--workers", "2"])
+    assert code == 0
+    assert out == single
+    assert err == "atomata: note: sampling runs in one process; --workers is ignored\n"
+
+
 def test_witness_max_semigroup_cli(capsys):
     code, out, _ = _run(capsys, ["witness", "max-semigroup", "--n", "4"])
     assert code == 0
@@ -313,8 +324,9 @@ def test_cli_module_runs_without_runpy_warning():
 
 
 # sha256 of stdout at the commit before the closures, collection walks and
-# campaign loops were merged into one kernel each; "EX1" stands for a file
-# holding the example1 document.
+# campaign loops were merged into one kernel each (the two prop1/prop2
+# entries: at the commit before the campaigns' two-stage scan); "EX1" stands
+# for a file holding the example1 document.
 PINNED_OUTPUTS = [
     (
         ["verify", "theorem3", "--n", "3", "--k", "2"],
@@ -335,6 +347,14 @@ PINNED_OUTPUTS = [
     (
         ["semigroup", "EX1", "--witnesses", "--format", "json"],
         "d75a92ff0c0e995afd0e84f30da88514cd0cedc26953c6772bca44f217229838",
+    ),
+    (
+        ["verify", "prop1", "--n", "3", "--k", "3", "--exhaustive"],
+        "eebc9dbb350beb7afed0a976838aa0aeecc31c807354dc054fe25eefca715117",
+    ),
+    (
+        ["verify", "prop2", "--n", "5", "--k", "3", "--samples", "2000", "--seed", "1"],
+        "08d7d04c37614344c74aee1be4850831a9024e265296da469bc749d1425728c3",
     ),
 ]
 

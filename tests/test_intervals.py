@@ -118,10 +118,7 @@ def test_eta_on_empty_interval(ex1):
     assert eta_letter_on_interval(ex1, Interval(_s(3, [1]), _s(3, [0])), "a") is None
 
 
-def test_preimage_check_endpoint_branch(ex1, monkeypatch):
-    import atomata.intervals as iv_mod
-
-    monkeypatch.setattr(iv_mod, "PREIMAGE_ENUM_LIMIT", -1)
+def test_preimage_check_enumerates_members(ex1):
     t = ex1.delta("c")  # (2->0), rank 2
     good = Interval(_s(3, [0, 2]), _s(3, [0, 1, 2]))  # {k,l}={2,0} inside lower
     _check_interval_preimages(t, good)

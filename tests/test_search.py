@@ -275,6 +275,32 @@ def test_run_sharded_honours_limit():
     assert merged.extra == single.extra
 
 
+def test_letter_filters_run_once_per_letter_tuple(monkeypatch):
+    import atomata.search as search
+
+    calls = {}
+
+    def counted(name):
+        original = getattr(search, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_generates_full_raw", "_pre_tables"):
+        monkeypatch.setattr(search, name, counted(name))
+    tuples = 27**2
+    for campaign in (verify_theorem3, find_converse_counterexamples):
+        _atom_complexities.cache_clear()
+        calls.update(_generates_full_raw=0, _pre_tables=0)
+        campaign(3, 2, timestamp="fixed")
+        assert 0 < calls["_generates_full_raw"] <= tuples
+        # one in the letter stage, one in the cached atom walk
+        assert calls["_pre_tables"] <= 2 * tuples
+
+
 def test_engine_caches_are_bounded():
     for cached in (_closure_size, _atom_complexities):
         assert cached.cache_info().maxsize is not None
