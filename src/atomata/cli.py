@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 
 from . import search
 from .atoms import atom_minimal_dfa, atoms_of, build_atomaton
@@ -14,14 +14,8 @@ from .bounds import max_atom_complexity, max_over_r
 from .document import parse_dfa, serialize_dfa
 from .errors import AtomataError
 from .intervals import interval_reach_report
-from .semigroup import (
-    DEFAULT_CLOSURE_CAP,
-    semigroup_summary,
-    transition_semigroup,
-)
+from .semigroup import DEFAULT_CLOSURE_CAP, transition_semigroup
 from .stateset import parse_subset_label
-
-ENV_PREFIX = "ATOMATA_"
 
 
 def _read_document(path: str) -> str:
@@ -107,10 +101,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_semigroup(args) -> int:
     d = parse_dfa(_read_document(args.file))
-    summary = semigroup_summary(d, cap=args.max_closure)
-    data = summary.to_dict()
+    dm = minimize(d)
+    sg = transition_semigroup(dm, witnesses=args.witnesses, cap=args.max_closure)
+    data = replace(sg.summary(), minimized_input=dm.n != d.n).to_dict()
     if args.witnesses:
-        sg = transition_semigroup(minimize(d), witnesses=True, cap=args.max_closure)
         data["witnesses"] = [
             {
                 "transformation": str(w.transformation),
@@ -249,8 +243,6 @@ def _campaign(func, args, **extra) -> int:
         samples=args.samples or 0,
         seed=args.seed,
         timestamp=args.timestamp,
-        max_n=args.max_enum_n,
-        max_k=args.max_enum_k,
         **extra,
     )
     return _print_report(report)
@@ -269,8 +261,6 @@ def cmd_verify(args) -> int:
             k=args.k,
             mode="exhaustive" if args.exhaustive else "witness",
             timestamp=args.timestamp,
-            max_n=args.max_enum_n,
-            max_k=args.max_enum_k,
         )
     elif args.which == "prop2":
         report = search.verify_prop2(
@@ -304,16 +294,6 @@ def cmd_witness(args) -> int:
 # wiring
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise AtomataError(f"environment variable {ENV_PREFIX}{name} must be an integer")
-
-
 def _add_format(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -322,7 +302,7 @@ def _add_closure_cap(p) -> None:
     p.add_argument(
         "--max-closure",
         type=int,
-        default=_env_int("MAX_CLOSURE", DEFAULT_CLOSURE_CAP),
+        default=DEFAULT_CLOSURE_CAP,
         help="refuse semigroup closures whose n^n exceeds this",
     )
 
@@ -331,11 +311,9 @@ def _add_campaign_opts(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=_env_int("SEED", 0))
-    p.add_argument("--workers", type=int, default=_env_int("WORKERS", 1))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timestamp", default=None, help="fixed timestamp for reproducible records")
-    p.add_argument("--max-enum-n", type=int, default=_env_int("MAX_ENUM_N", search.DEFAULT_MAX_ENUM_N))
-    p.add_argument("--max-enum-k", type=int, default=_env_int("MAX_ENUM_K", search.DEFAULT_MAX_ENUM_K))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -44,8 +44,9 @@ from .transformations import Transformation, identity, make_cycle, make_singular
 
 LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
-DEFAULT_MAX_ENUM_N = 4
-DEFAULT_MAX_ENUM_K = 3
+# Exhaustive campaigns refuse to scan more DFAs than this: (4^4)^3 * 2^4,
+# the count at n = 4, k = 3.
+MAX_ENUM_DFAS = 1 << 28
 
 # Entries kept by each of the engine's per-letter-tuple caches.  Exhaustive
 # campaigns repeat a letter tuple only across consecutive final-state sets,
@@ -203,13 +204,14 @@ def _estimated_count(n: int, k: int) -> int:
     return (n**n) ** k * 2**n
 
 
-def _check_enum_caps(n: int, k: int, max_n: int, max_k: int) -> None:
+def _check_enum_caps(n: int, k: int) -> None:
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    if n > max_n or k > max_k:
+    count = _estimated_count(n, k)
+    if count > MAX_ENUM_DFAS:
         raise EnumerationCapError(
-            f"exhaustive enumeration at n={n}, k={k} is over the caps "
-            f"(n <= {max_n}, k <= {max_k}); estimated {_estimated_count(n, k)} DFAs"
+            f"exhaustive enumeration at n={n}, k={k} is over the cap: "
+            f"estimated {count} DFAs, more than {MAX_ENUM_DFAS}"
         )
 
 
@@ -218,25 +220,12 @@ def all_maps(n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(n), repeat=n))
 
 
-def enumerate_dfas(
-    n: int,
-    k: int,
-    *,
-    max_n: int = DEFAULT_MAX_ENUM_N,
-    max_k: int = DEFAULT_MAX_ENUM_K,
-    canonical_letters: bool = False,
-) -> Iterator[Dfa]:
+def enumerate_dfas(n: int, k: int) -> Iterator[Dfa]:
     """Every DFA with states {0..n-1}, k letters, initial 0, in lexicographic
     order: letter transformations vary first (leftmost slowest), then the
-    final-state bitmask counts up.
-
-    ``canonical_letters`` keeps only non-decreasing letter tuples, a
-    symmetry reduction over letter renaming (off by default).
-    """
-    _check_enum_caps(n, k, max_n, max_k)
+    final-state bitmask counts up."""
+    _check_enum_caps(n, k)
     for combo in itertools.product(all_maps(n), repeat=k):
-        if canonical_letters and any(combo[i] > combo[i + 1] for i in range(k - 1)):
-            continue
         for fbits in range(2**n):
             yield _make_dfa(n, k, combo, fbits)
 
@@ -262,9 +251,7 @@ def _make_dfa(n: int, k: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> 
     )
 
 
-def sample_full_semigroup_dfa(
-    n: int, rng: random.Random, *, k: int = 3, cap: int = DEFAULT_CLOSURE_CAP
-) -> Dfa:
+def sample_full_semigroup_dfa(n: int, rng: random.Random, *, k: int = 3) -> Dfa:
     """A random minimal DFA whose transition semigroup is all of T_n.
 
     Accept-reject: two random permutations plus a random singular map (plus
@@ -320,8 +307,10 @@ def _reachable_bits(n: int, maps: tuple[tuple[int, ...], ...]) -> int:
 
 
 def _is_minimal_raw(n: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> bool:
-    if _reachable_bits(n, maps) != (1 << n) - 1:
-        return False
+    """Whether the DFA's states are pairwise distinguishable (Moore's
+    refinement).  Its caller must know that every state is reachable from
+    0: the campaigns' full letter tuples reach every state, and the
+    converse letter stage checks reachability itself."""
     cls = [fbits >> q & 1 for q in range(n)]
     ncls = len(set(cls))
     while True:
@@ -393,16 +382,10 @@ def _atom_complexities(maps: tuple[tuple[int, ...], ...], n: int) -> tuple[int, 
     )
 
 
-def full_semigroup_transition_tuples(
-    n: int,
-    k: int,
-    *,
-    max_n: int = DEFAULT_MAX_ENUM_N,
-    max_k: int = DEFAULT_MAX_ENUM_K,
-) -> Iterator[tuple[Transformation, ...]]:
+def full_semigroup_transition_tuples(n: int, k: int) -> Iterator[tuple[Transformation, ...]]:
     """All k-letter transition tuples generating the full semigroup, in
     lexicographic order."""
-    _check_enum_caps(n, k, max_n, max_k)
+    _check_enum_caps(n, k)
     for combo in itertools.product(all_maps(n), repeat=k):
         if _generates_full_raw(combo, n):
             yield tuple(Transformation(m) for m in combo)
@@ -438,9 +421,7 @@ def _atom_bounds(n: int) -> tuple[int, ...]:
     return tuple(max_atom_complexity(n, n - s.bit_count()) for s in range(1 << n))
 
 
-def _scan(
-    report: CampaignReport, records: list, letters, check, *, max_n: int, max_k: int
-) -> None:
+def _scan(report: CampaignReport, records: list, letters, check) -> None:
     """Run the two stages of the campaign that ``report.params`` describes,
     counting each DFA in ``report.scanned``.
 
@@ -483,7 +464,7 @@ def _scan(
         return limit is not None and len(records) >= limit
 
     if report.mode == "exhaustive":
-        _check_enum_caps(n, k, max_n, max_k)
+        _check_enum_caps(n, k)
         maps_list = all_maps(n)
         shard, num_shards = params["shard"], params["num_shards"]
         for first_index, first in enumerate(maps_list):
@@ -523,8 +504,6 @@ def verify_theorem3(
     samples: int = 10_000,
     seed: int = 0,
     timestamp: Optional[str] = None,
-    max_n: int = DEFAULT_MAX_ENUM_N,
-    max_k: int = DEFAULT_MAX_ENUM_K,
     shard: int = 0,
     num_shards: int = 1,
 ) -> CampaignReport:
@@ -553,7 +532,7 @@ def verify_theorem3(
             return None
         return n**n, atoms, comps, False
 
-    _scan(report, report.violations, letters, check, max_n=max_n, max_k=max_k)
+    _scan(report, report.violations, letters, check)
     return report
 
 
@@ -566,8 +545,6 @@ def find_converse_counterexamples(
     seed: int = 0,
     limit: Optional[int] = None,
     timestamp: Optional[str] = None,
-    max_n: int = DEFAULT_MAX_ENUM_N,
-    max_k: int = DEFAULT_MAX_ENUM_K,
     shard: int = 0,
     num_shards: int = 1,
 ) -> CampaignReport:
@@ -597,7 +574,7 @@ def find_converse_counterexamples(
             return None
         return _closure_size(maps, n), 1 << n, comps, True
 
-    _scan(report, report.findings, letters, check, max_n=max_n, max_k=max_k)
+    _scan(report, report.findings, letters, check)
     report.extra["syntactic_complexities"] = _complexity_histogram(report.findings)
     return report
 
@@ -660,8 +637,6 @@ def verify_prop1(
     mode: str = "witness",
     timestamp: Optional[str] = None,
     cap: int = DEFAULT_CLOSURE_CAP,
-    max_n: int = DEFAULT_MAX_ENUM_N,
-    max_k: int = DEFAULT_MAX_ENUM_K,
 ) -> CampaignReport:
     """Full syntactic complexity must force the reverse language to have 2^n
     quotients.  Witness mode checks the constructed witness; exhaustive mode
@@ -691,7 +666,6 @@ def verify_prop1(
     report.scanned += 1
     check(w, n**n)
     if mode == "exhaustive":
-        _check_enum_caps(n, k, max_n, max_k)
         for deltas in full_semigroup_transition_tuples(n, k):
             maps = tuple(t.map for t in deltas)
             for fbits in range(2**n):

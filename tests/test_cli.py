@@ -283,16 +283,58 @@ def test_unknown_subcommand_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_env_fallback(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("ATOMATA_MAX_CLOSURE", "8")
+def test_max_closure_flag_alone_sets_the_cap(capsys, monkeypatch, tmp_path):
     path = tmp_path / "ex1.dfa"
     path.write_text(G.FIXTURE_TEXT)
-    code, _, err = _run(capsys, ["semigroup", str(path)])
+    code, _, err = _run(capsys, ["semigroup", str(path), "--max-closure", "8"])
     assert code == 1
     assert "cap" in err
-    # explicit flag wins over the environment
-    code, out, _ = _run(capsys, ["semigroup", str(path), "--max-closure", str(10**8)])
+    # the environment plays no part
+    monkeypatch.setenv("ATOMATA_MAX_CLOSURE", "8")
+    code, _, _ = _run(capsys, ["semigroup", str(path)])
     assert code == 0
+
+
+def test_semigroup_witnesses_closes_once(capsys, monkeypatch, tmp_path):
+    import atomata.semigroup as semigroup
+
+    calls = []
+    original = semigroup._closure
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("witnesses"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "_closure", counted)
+    path = tmp_path / "ex1.dfa"
+    path.write_text(G.FIXTURE_TEXT)
+    code, _, _ = _run(capsys, ["semigroup", str(path), "--witnesses"])
+    assert code == 0
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("n, k", [(5, 1), (2, 4)])
+def test_small_exhaustive_scans_run_at_any_n_or_k(capsys, n, k):
+    argv = ["verify", "prop1", "--n", str(n), "--k", str(k), "--exhaustive"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["ok"] is True
+    assert summary["params"] == {"n": n, "k": k}
+
+
+def test_exhaustive_scan_over_the_cap_refused(capsys):
+    code, out, err = _run(capsys, ["verify", "theorem3", "--n", "4", "--k", "4"])
+    assert code == 1
+    assert out == ""
+    assert "estimated" in err
+
+
+def test_enumeration_cap_has_no_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "theorem3", "--n", "4", "--max-enum-n", "5"])
+    assert exc.value.code == 2
+    assert "--max-enum-n" in capsys.readouterr().err
 
 
 def test_exhaustive_flag_rejected_by_search(capsys):

@@ -8,6 +8,7 @@ from atomata import atom_count, atoms_of, is_minimal, syntactic_complexity, tran
 from atomata.cli import parse_dfa
 from atomata.errors import EnumerationCapError
 from atomata.search import (
+    MAX_ENUM_DFAS,
     CampaignRecord,
     enumerate_dfas,
     example1,
@@ -22,9 +23,11 @@ from atomata.search import (
     witness_max_semigroup,
     _atom_complexities,
     _closure_size,
+    _estimated_count,
     _is_minimal_raw,
     _pre_tables,
     _reach_subsets,
+    _reachable_bits,
 )
 from conftest import worklist_closure
 
@@ -49,15 +52,19 @@ def test_enumerate_order_deterministic():
 
 
 def test_enumerate_caps():
-    with pytest.raises(EnumerationCapError) as err:
-        list(enumerate_dfas(5, 3))
-    assert "estimated" in str(err.value)
+    for n, k in ((5, 3), (4, 4)):
+        with pytest.raises(EnumerationCapError) as err:
+            next(enumerate_dfas(n, k))
+        assert "estimated" in str(err.value)
 
 
-def test_enumerate_canonical_letters():
-    total = sum(1 for _ in enumerate_dfas(2, 2, canonical_letters=True))
-    # 10 unordered pairs of the 4 maps (with repeats), times 4 final sets
-    assert total == 10 * 4
+def test_enumerate_cap_bounds_the_dfa_count():
+    # the cap is the count at n = 4, k = 3; n and k are not bounded apart
+    assert MAX_ENUM_DFAS == _estimated_count(4, 3)
+    assert next(enumerate_dfas(4, 3)).n == 4
+    d = next(enumerate_dfas(3, 4))
+    assert (d.n, len(d.alphabet)) == (3, 4)
+    assert next(enumerate_dfas(5, 1)).n == 5
 
 
 def test_engine_minimality_matches_public():
@@ -67,7 +74,9 @@ def test_engine_minimality_matches_public():
         k = rng.randint(1, 3)
         d = random_dfa(rng, n, k)
         maps = tuple(t.map for t in d.deltas)
-        assert _is_minimal_raw(n, maps, d.finals.bits) == is_minimal(d)
+        # _is_minimal_raw assumes every state reachable; its callers know it
+        reachable = _reachable_bits(n, maps) == (1 << n) - 1
+        assert (reachable and _is_minimal_raw(n, maps, d.finals.bits)) == is_minimal(d)
 
 
 def test_engine_closure_matches_public():
