@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable
 
 from .errors import UnknownLetterError
@@ -148,77 +149,109 @@ def determinize(m: Nfa) -> Dfa:
 
     State i of the result carries ``labels[i]``, the frozenset of NFA states
     it stands for.  The empty subset, if reached, stays as a non-final sink.
+    The walk numbers the NFA's states by their position in ``m.states`` and
+    runs on bitmasks over those numbers; the labels are built at the end.
     """
-    init = frozenset(m.initials)
-    order: list[frozenset] = [init]
-    index = {init: 0}
-    rows: list[list[int]] = []
-    for subset in order:
-        row = []
+    states = m.states
+    width = len(states)
+    bit = {q: 1 << i for i, q in enumerate(states)}
+    # the successors of a state under every letter packed in one int, letter
+    # a in bits a*width.., keyed by the state's own bit
+    packed = {}
+    for q in states:
+        union = 0
+        shift = 0
         for a in m.alphabet:
-            target = frozenset(q2 for q in subset for q2 in m.eta[(q, a)])
-            if target not in index:
+            union |= sum(map(bit.__getitem__, m.eta[(q, a)])) << shift
+            shift += width
+        packed[bit[q]] = union
+    shifts = range(0, len(m.alphabet) * width, width)
+    full = (1 << width) - 1
+    init = sum(map(bit.__getitem__, m.initials))
+    order = [init]
+    index = {init: 0}
+    cols: list[list[int]] = [[] for _ in shifts]
+    for subset in order:
+        union = 0
+        while subset:
+            low = subset & -subset
+            union |= packed[low]
+            subset ^= low
+        for shift, col in zip(shifts, cols):
+            target = union >> shift & full
+            try:
+                col.append(index[target])
+            except KeyError:
                 index[target] = len(order)
+                col.append(len(order))
                 order.append(target)
-            row.append(index[target])
-        rows.append(row)
     n = len(order)
-    deltas = tuple(
-        Transformation(tuple(rows[q][ai] for q in range(n)))
-        for ai in range(len(m.alphabet))
+    fmask = sum(map(bit.__getitem__, m.finals))
+    # a label is the union of the frozensets of the mask's 8-bit chunks, each
+    # built once; set union reuses the members' stored hashes, where building
+    # every label from its members would hash them again
+    chunks: dict[int, frozenset] = {}
+    labels = []
+    for s in order:
+        parts = []
+        while s:
+            low = s & -s
+            chunk = s & low * 255
+            s ^= chunk
+            part = chunks.get(chunk)
+            if part is None:
+                i = low.bit_length() - 1
+                part = chunks[chunk] = frozenset(
+                    q for j, q in enumerate(states[i : i + 8]) if chunk >> i + j & 1
+                )
+            parts.append(part)
+        labels.append(parts[0] if len(parts) == 1 else frozenset().union(*parts))
+    finals = StateSet(n, (i for i, s in enumerate(order) if s & fmask))
+    return Dfa(
+        n, m.alphabet, tuple(map(Transformation, cols)), 0, finals, labels=tuple(labels)
     )
-    finals = StateSet(n, (i for i, sub in enumerate(order) if sub & m.finals))
-    return Dfa(n, m.alphabet, deltas, 0, finals, labels=tuple(order))
 
 
 def minimize(d: Dfa) -> Dfa:
     """Canonical minimal DFA: language-equivalent, reachable, no equal states.
 
-    Partition refinement on the reachable part, then breadth-first
-    renumbering; the result is the same object for any two language-equal
-    inputs over the same alphabet.
+    Partition refinement, then breadth-first renumbering of the classes
+    reachable from the initial one; the result is the same object for any
+    two language-equal inputs over the same alphabet.
     """
-    order = [d.initial]
-    seen = {d.initial}
-    for q in order:
-        for t in d.deltas:
-            r = t.map[q]
-            if r not in seen:
-                seen.add(r)
-                order.append(r)
-
-    cls = {q: (1 if q in d.finals else 0) for q in order}
-    ncls = len(set(cls.values()))
+    maps = [t.map for t in d.deltas]
+    fbits = d.finals.bits
+    # Moore refinement over every state: unreachable ones only add classes
+    # that the renumbering below never reaches
+    cls = [fbits >> q & 1 for q in range(d.n)]
+    ncls = len(set(cls))
     while True:
-        sigs: dict[tuple, int] = {}
-        new = {}
-        for q in order:
-            key = (cls[q], *(cls[t.map[q]] for t in d.deltas))
-            new[q] = sigs.setdefault(key, len(sigs))
-        if len(sigs) == ncls:
-            cls = new
+        # a state's signature: its class, then its successors' classes
+        keys = list(zip(cls, *[[cls[r] for r in m] for m in maps]))
+        sigs = dict(zip(dict.fromkeys(keys), count()))
+        cls = list(map(sigs.__getitem__, keys))
+        # stable once no class splits, or once every class is one state
+        if len(sigs) == ncls or len(sigs) == d.n:
             break
-        cls, ncls = new, len(sigs)
+        ncls = len(sigs)
 
-    rep: dict[int, int] = {}
-    for q in order:
-        rep.setdefault(cls[q], q)
+    # equal states have equal successors' classes, so any member of a class
+    # can stand for it
+    rep = dict(zip(cls, range(d.n)))
     corder = [cls[d.initial]]
-    cseen = {cls[d.initial]}
+    renum = {corder[0]: 0}
     for c in corder:
         q = rep[c]
-        for t in d.deltas:
-            c2 = cls[t.map[q]]
-            if c2 not in cseen:
-                cseen.add(c2)
+        for m in maps:
+            c2 = cls[m[q]]
+            if c2 not in renum:
+                renum[c2] = len(corder)
                 corder.append(c2)
-    renum = {c: i for i, c in enumerate(corder)}
     nn = len(corder)
     deltas = tuple(
-        Transformation(tuple(renum[cls[t.map[rep[c]]]] for c in corder))
-        for t in d.deltas
+        Transformation(tuple([renum[cls[m[rep[c]]]] for c in corder])) for m in maps
     )
-    finals = StateSet(nn, (renum[c] for c in corder if rep[c] in d.finals))
+    finals = StateSet(nn, (renum[c] for c in corder if fbits >> rep[c] & 1))
     return Dfa(nn, d.alphabet, deltas, 0, finals)
 
 

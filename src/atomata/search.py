@@ -382,15 +382,6 @@ def _atom_complexities(maps: tuple[tuple[int, ...], ...], n: int) -> tuple[int, 
     )
 
 
-def full_semigroup_transition_tuples(n: int, k: int) -> Iterator[tuple[Transformation, ...]]:
-    """All k-letter transition tuples generating the full semigroup, in
-    lexicographic order."""
-    _check_enum_caps(n, k)
-    for combo in itertools.product(all_maps(n), repeat=k):
-        if _generates_full_raw(combo, n):
-            yield tuple(Transformation(m) for m in combo)
-
-
 def _record_from_metrics(
     d: Dfa,
     *,
@@ -428,13 +419,14 @@ def _scan(report: CampaignReport, records: list, letters, check) -> None:
     ``letters(maps)`` is the letter stage: None passes over the letter
     tuple, anything else is the tuple's state.  ``check(maps, state,
     fbits)`` is the final-set stage; it returns None, or ``(syntactic
-    complexity, atom count, atom complexities by bitmask, all atoms
+    complexity, atom count, atom complexities by bitmask or (), all atoms
     maximal)`` for a DFA that is appended to ``records``.  The scan stops
     once ``params["limit"]`` records exist.  Exhaustive mode walks this
     shard's contiguous block of first-letter indices in lexicographic
-    order, runs ``letters`` once per tuple and ``check`` on its final sets
-    counting up.  Sample mode draws the letter maps and then the final set
-    from ``params["seed"]``, and runs both stages on each draw.
+    order (the whole space without ``params["shard"]``), runs ``letters``
+    once per tuple and ``check`` on its final sets counting up.  Sample
+    mode draws the letter maps and then the final set from
+    ``params["seed"]``, and runs both stages on each draw.
     """
     params = report.params
     n, k = params["n"], params["k"]
@@ -454,7 +446,7 @@ def _scan(report: CampaignReport, records: list, letters, check) -> None:
                 _make_dfa(n, k, maps, fbits),
                 sc=sc,
                 atom_count=atoms,
-                complexities={labels[b]: comps[b] for b in range(1 << n)},
+                complexities=dict(zip(labels, comps)),
                 is_max=is_max,
                 campaign=report.campaign,
                 timestamp=report.timestamp,
@@ -466,7 +458,7 @@ def _scan(report: CampaignReport, records: list, letters, check) -> None:
     if report.mode == "exhaustive":
         _check_enum_caps(n, k)
         maps_list = all_maps(n)
-        shard, num_shards = params["shard"], params["num_shards"]
+        shard, num_shards = params.get("shard", 0), params.get("num_shards", 1)
         for first_index, first in enumerate(maps_list):
             if first_index * num_shards // len(maps_list) != shard:
                 continue
@@ -496,6 +488,19 @@ def _scan(report: CampaignReport, records: list, letters, check) -> None:
 # campaigns
 
 
+def _full_letters(n: int):
+    """Letter stage of the campaigns over full semigroups: passes over a
+    tuple that does not generate T_n, else hands on its preimage tables,
+    built on first use."""
+
+    def letters(maps: tuple[tuple[int, ...], ...]):
+        if not _generates_full_raw(maps, n):
+            return None
+        return cache(lambda: _pre_tables(n, maps))
+
+    return letters
+
+
 def verify_theorem3(
     n: int,
     k: int,
@@ -517,11 +522,6 @@ def verify_theorem3(
     report = CampaignReport(campaign, mode, params, timestamp=_now(timestamp))
     bounds = _atom_bounds(n)
 
-    def letters(maps: tuple[tuple[int, ...], ...]):
-        if not _generates_full_raw(maps, n):
-            return None
-        return cache(lambda: _pre_tables(n, maps))
-
     def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
         if not _is_minimal_raw(n, maps, fbits):
             return None
@@ -532,7 +532,7 @@ def verify_theorem3(
             return None
         return n**n, atoms, comps, False
 
-    _scan(report, report.violations, letters, check)
+    _scan(report, report.violations, _full_letters(n), check)
     return report
 
 
@@ -640,41 +640,42 @@ def verify_prop1(
 ) -> CampaignReport:
     """Full syntactic complexity must force the reverse language to have 2^n
     quotients.  Witness mode checks the constructed witness; exhaustive mode
-    additionally scans every full-semigroup minimal DFA at (n, k)."""
-    ts = _now(timestamp)
+    then scans every DFA at (n, k) as ``verify_theorem3`` does, and checks
+    each minimal one whose letters generate T_n."""
+    if mode not in ("witness", "exhaustive"):
+        raise ValueError(f"unknown mode {mode!r}")
     campaign = f"prop1-n{n}-{mode}"
-    report = CampaignReport(campaign, mode, {"n": n, "k": k}, timestamp=ts)
+    report = CampaignReport(campaign, mode, {"n": n, "k": k}, timestamp=_now(timestamp))
 
-    def check(d: Dfa, sc: int) -> None:
+    def reverse_complexity(d: Dfa) -> int:
         report.tested += 1
-        rev_qc = quotient_complexity(determinize(reverse(d)))
-        if rev_qc != 2**d.n:
-            report.violations.append(
-                _record_from_metrics(
-                    d,
-                    sc=sc,
-                    atom_count=rev_qc,
-                    complexities={},
-                    is_max=False,
-                    campaign=campaign,
-                    timestamp=ts,
-                    seed=None,
-                )
-            )
+        return quotient_complexity(determinize(reverse(d)))
 
     w = witness_max_semigroup(n, cap=cap)
     report.scanned += 1
-    check(w, n**n)
+    rev_qc = reverse_complexity(w)
+    if rev_qc != 1 << n:
+        report.violations.append(
+            _record_from_metrics(
+                w,
+                sc=n**n,
+                atom_count=rev_qc,
+                complexities={},
+                is_max=False,
+                campaign=campaign,
+                timestamp=report.timestamp,
+                seed=None,
+            )
+        )
     if mode == "exhaustive":
-        for deltas in full_semigroup_transition_tuples(n, k):
-            maps = tuple(t.map for t in deltas)
-            for fbits in range(2**n):
-                report.scanned += 1
-                if not _is_minimal_raw(n, maps, fbits):
-                    continue
-                check(_make_dfa(n, k, maps, fbits), n**n)
-    elif mode != "witness":
-        raise ValueError(f"unknown mode {mode!r}")
+
+        def check(maps: tuple[tuple[int, ...], ...], _pres, fbits: int):
+            if not _is_minimal_raw(n, maps, fbits):
+                return None
+            rev_qc = reverse_complexity(_make_dfa(n, k, maps, fbits))
+            return None if rev_qc == 1 << n else (n**n, rev_qc, (), False)
+
+        _scan(report, report.violations, _full_letters(n), check)
     return report
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .automata import Dfa, minimize
@@ -134,15 +135,20 @@ def _close(
     """
     elements = list(dict.fromkeys(maps))
     words = None if letters is None else [letters[maps.index(g)] for g in elements]
+    if elements and len(elements[0]) == 1:
+        # degree 1: the one map (0,) is closed already, and itemgetter with
+        # one index would return a scalar, not a tuple
+        return elements, words
     index = set(elements)
     # elements double as the breadth-first queue: each level is appended
     # after the one it extends
     for i, base in enumerate(elements):
         if len(elements) >= limit:
             break
+        # word extended on the right by letter j: q goes to g(base(q))
+        after = itemgetter(*base)
         for j, g in enumerate(maps):
-            # word extended on the right by letter j: q goes to g(base(q))
-            comp = tuple([g[v] for v in base])
+            comp = after(g)
             if comp not in index:
                 index.add(comp)
                 elements.append(comp)

@@ -30,7 +30,6 @@ from atomata.cli import parse_dfa
 from atomata.search import (
     example1,
     find_converse_counterexamples,
-    full_semigroup_transition_tuples,
     sample_full_semigroup_dfa,
     verify_prop1,
     verify_prop2,
@@ -38,7 +37,7 @@ from atomata.search import (
     witness_max_semigroup,
 )
 from atomata.transformations import all_transformations, compose, decompose_singular_perm
-from conftest import make_dfa
+from conftest import full_semigroup_transition_tuples, make_dfa
 
 
 @contextmanager

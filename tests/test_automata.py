@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,10 @@ from atomata import (
     quotient_complexity,
     reverse,
 )
+from atomata.atoms import build_atomaton
+from atomata.automata import Nfa
 from atomata.errors import UnknownLetterError
-from conftest import make_dfa, random_dfas
+from conftest import make_dfa, random_dfas, reference_determinize, reference_minimize
 
 
 def dfas(max_n=4, max_k=3):
@@ -178,6 +181,86 @@ def test_brzozowski_minimality():
     for d in random_dfas(seed=99, count=80, max_n=5):
         det = determinize(reverse(minimize(d)))
         assert minimize(det).n == det.n
+
+
+# --- integer-table kernels against the frozenset/dict references -------------
+
+
+def assert_same_dfa(got, want):
+    assert got == want  # n, alphabet, deltas, initial and finals
+    assert got.labels == want.labels  # not part of Dfa equality
+
+
+def check_kernels(nfa):
+    det = determinize(nfa)
+    assert_same_dfa(det, reference_determinize(nfa))
+    assert_same_dfa(minimize(det), reference_minimize(det))
+
+
+def random_nfa(rng, states):
+    alphabet = tuple("abc"[: rng.randint(1, 3)])
+
+    def subset():
+        return frozenset(q for q in states if rng.random() < rng.choice((0.1, 0.3)))
+
+    eta = {(q, a): subset() for q in states for a in alphabet}
+    return Nfa(states, alphabet, eta, subset(), subset())
+
+
+def test_kernels_match_references_on_random_dfas():
+    for d in random_dfas(seed=7, count=400, max_n=5):
+        assert_same_dfa(minimize(d), reference_minimize(d))
+        check_kernels(reverse(d))
+        check_kernels(reverse(reverse(d)))  # the DFA itself, as an NFA
+
+
+def test_kernels_match_references_on_atom_nfas():
+    for d in random_dfas(seed=8, count=40, max_n=4):
+        am = build_atomaton(d)
+        for s in am.states:
+            check_kernels(am.nfa.with_initials([s]))
+
+
+def test_kernels_match_references_on_random_nfas():
+    # up to 40 states, so subsets span several 8-state label chunks; many
+    # successor sets are empty, and so are some initial sets (the Φ sink)
+    rng = random.Random(9)
+    for _ in range(200):
+        check_kernels(random_nfa(rng, tuple(range(rng.randint(1, 40)))))
+
+
+def test_kernels_match_references_on_unusual_nfas(ex1):
+    rng = random.Random(10)
+    names = tuple(f"q{i}" for i in range(12))
+    pairs = tuple((i, str(i)) for i in range(10))
+    sets = tuple(StateSet.from_bits(4, b) for b in range(16))
+    for states in (names, pairs, sets):
+        for _ in range(30):
+            check_kernels(random_nfa(rng, states))
+    check_kernels(reverse(ex1).with_initials([]))
+    empty_moves = Nfa((0, 1), ("a",), {}, frozenset({0}), frozenset({1}))
+    check_kernels(empty_moves)
+
+
+def test_minimize_matches_reference_with_unreachable_states():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        # letters that never leave {0, 1}: states 2.. are unreachable
+        maps = [
+            tuple(rng.randrange(2) if q < 2 else rng.randrange(n) for q in range(n))
+            for _ in range(rng.randint(1, 3))
+        ]
+        d = make_dfa(n, maps, finals=[q for q in range(n) if rng.random() < 0.5])
+        assert_same_dfa(minimize(d), reference_minimize(d))
+
+
+def test_kernels_match_references_at_one_state():
+    for maps, finals in (([(0,)], []), ([(0,)], [0]), ([(0,), (0,)], [0])):
+        d = make_dfa(1, maps, finals=finals)
+        assert_same_dfa(minimize(d), reference_minimize(d))
+        check_kernels(reverse(d))
+    check_kernels(Nfa((0,), ("a",), {}, frozenset(), frozenset()))
 
 
 # --- quotient complexity ----------------------------------------------------

@@ -365,10 +365,13 @@ def test_cli_module_runs_without_runpy_warning():
     assert proc.stderr == ""
 
 
-# sha256 of stdout at the commit before the closures, collection walks and
-# campaign loops were merged into one kernel each (the two prop1/prop2
-# entries: at the commit before the campaigns' two-stage scan); "EX1" stands
-# for a file holding the example1 document.
+# sha256 of stdout, each recorded before the change it guards: the first
+# five before the closures, collection walks and campaign loops were merged
+# into one kernel each, prop2 before the campaigns' two-stage scan, and
+# prop1 n = 1 before prop1 ran through that scan.  The prop1 n = 3 digest
+# was recorded again when its `scanned` came to count every DFA of the
+# space, the only change in that output.  "EX1" stands for a file holding
+# the example1 document.
 PINNED_OUTPUTS = [
     (
         ["verify", "theorem3", "--n", "3", "--k", "2"],
@@ -392,11 +395,16 @@ PINNED_OUTPUTS = [
     ),
     (
         ["verify", "prop1", "--n", "3", "--k", "3", "--exhaustive"],
-        "eebc9dbb350beb7afed0a976838aa0aeecc31c807354dc054fe25eefca715117",
+        "2e54b52ab01cb4fe846e98d08535dc29d6fbc218ddfa2913d0b1d79d642f181e",
     ),
     (
         ["verify", "prop2", "--n", "5", "--k", "3", "--samples", "2000", "--seed", "1"],
         "08d7d04c37614344c74aee1be4850831a9024e265296da469bc749d1425728c3",
+    ),
+    (
+        # violation records: one-state languages have one atom, not two
+        ["verify", "prop1", "--n", "1", "--k", "2", "--exhaustive"],
+        "dae487bddb30b9975a4c413b1c9b03cf8bd27930832ad86f9bb3b6b455723c59",
     ),
 ]
 

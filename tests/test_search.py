@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from atomata import atom_count, atoms_of, is_minimal, syntactic_complexity, transition_semigroup
+from atomata import (
+    StateSet,
+    atom_count,
+    atoms_of,
+    is_minimal,
+    syntactic_complexity,
+    transition_semigroup,
+)
 from atomata.cli import parse_dfa
 from atomata.errors import EnumerationCapError
 from atomata.search import (
@@ -13,7 +20,6 @@ from atomata.search import (
     enumerate_dfas,
     example1,
     find_converse_counterexamples,
-    full_semigroup_transition_tuples,
     random_dfa,
     run_sharded,
     sample_full_semigroup_dfa,
@@ -29,7 +35,7 @@ from atomata.search import (
     _reach_subsets,
     _reachable_bits,
 )
-from conftest import worklist_closure
+from conftest import full_semigroup_transition_tuples, make_dfa, worklist_closure
 
 
 # --- enumeration -------------------------------------------------------------
@@ -220,6 +226,21 @@ def test_prop1_exhaustive_n2():
     rep = verify_prop1(2, k=2, mode="exhaustive", timestamp="fixed")
     assert rep.violations == []
     assert rep.tested > 1
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 4), (3, 1)])
+def test_prop1_exhaustive_scans_the_whole_space(n, k):
+    rep = verify_prop1(n, k=k, mode="exhaustive", timestamp="fixed")
+    # the witness, then every DFA of the space, as verify_theorem3 counts it
+    assert rep.scanned == 1 + (n**n) ** k * 2**n
+    # the witness, then each minimal DFA whose letters generate T_n
+    minimal = sum(
+        is_minimal(make_dfa(n, [t.map for t in deltas], finals=StateSet.from_bits(n, f).members()))
+        for deltas in full_semigroup_transition_tuples(n, k)
+        for f in range(2**n)
+    )
+    assert rep.tested == 1 + minimal
+    assert rep.violations == []
 
 
 def test_prop2_sampled():

@@ -23,12 +23,11 @@ from atomata import (
 from atomata.errors import ClosureCapError, DegreeMismatchError
 from atomata.search import (
     all_maps,
-    full_semigroup_transition_tuples,
     witness_max_semigroup,
 )
-from atomata.semigroup import _closure, _generates_full_raw  # noqa: SLF001 - exercised directly
+from atomata.semigroup import _close, _closure, _generates_full_raw  # noqa: SLF001 - exercised directly
 from atomata.transformations import inverse
-from conftest import make_dfa, worklist_closure
+from conftest import full_semigroup_transition_tuples, make_dfa, worklist_closure
 
 
 def test_example1_closure_size(ex1):
@@ -93,6 +92,44 @@ def test_generates_full_matches_closure_on_witness_letters():
 def test_single_state():
     d = make_dfa(1, [(0,)], finals=[0])
     assert syntactic_complexity(d) == 1
+
+
+def test_close_at_degree_one():
+    assert _close([(0,)], 1) == ([(0,)], None)
+    assert _close([(0,), (0,)], 5, "ab") == ([(0,)], ["a"])
+    assert _close([], 1) == ([], None)
+    assert _generates_full_raw([(0,)], 1)
+    w = witness_max_semigroup(1)
+    assert len(transition_semigroup(w)) == 1
+
+
+def shortest_word_lengths(maps):
+    """Length of a shortest word inducing each element, level by level."""
+    lengths = {}
+    level, length = set(maps), 1
+    while level:
+        lengths.update(dict.fromkeys(level, length))
+        level = {tuple(g[v] for v in t) for t in level for g in maps} - lengths.keys()
+        length += 1
+    return lengths
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_close_words_on_witness_letters(n):
+    """Each first word induces its element and is a shortest one; the
+    elements come in length-then-alphabet order of their words."""
+    letters = {a: t.map for a, t in zip("abc", witness_max_semigroup(n).deltas)}
+    elements, words = _close(list(letters.values()), n**n, "abc")
+    assert set(elements) == worklist_closure(list(letters.values()))
+    assert len(elements) == len(set(elements)) == n**n
+    lengths = shortest_word_lengths(list(letters.values()))
+    for t, w in zip(elements, words):
+        image = list(range(n))
+        for a in w:
+            image = [letters[a][q] for q in image]
+        assert tuple(image) == t, (t, w)
+        assert len(w) == lengths[t], (t, w)
+    assert all((len(w1), w1) < (len(w2), w2) for w1, w2 in zip(words, words[1:]))
 
 
 def test_syntactic_complexity_minimizes_first():
