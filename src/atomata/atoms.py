@@ -11,7 +11,7 @@ its label S.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .automata import Dfa, Nfa, Word, determinize, minimize, reverse
@@ -28,6 +28,9 @@ class Atomaton:
     quotients.  Initial states are the atoms whose intersection keeps the
     language itself plain (q0 in S); the single final state, present iff
     the language is non-empty, is labeled by the final-state set F.
+    ``rev`` is the same NFA with the atoms numbered 0..m-1, and ``index``
+    maps each label to its number; the per-atom determinizations walk it,
+    so they hash no StateSet.
     """
 
     n: int
@@ -35,6 +38,8 @@ class Atomaton:
     source: Dfa  # the minimal DFA the atomaton was built from
     nfa: Nfa
     minimized_input: bool
+    rev: Nfa = field(repr=False, compare=False)
+    index: dict[StateSet, int] = field(repr=False, compare=False)
 
     @property
     def states(self) -> tuple[StateSet, ...]:
@@ -112,6 +117,8 @@ def build_atomaton(d: Dfa) -> Atomaton:
         source=dm,
         nfa=nfa,
         minimized_input=dm.n != d.n,
+        rev=rev,
+        index=dict(zip(labels, range(drd.n))),
     )
 
 
@@ -133,7 +140,7 @@ def atom_minimal_dfa(d: Dfa, s: StateSet, *, _atomaton: Optional[Atomaton] = Non
     """
     am = _atomaton if _atomaton is not None else build_atomaton(d)
     s = _resolve_label(am, s)
-    det = determinize(am.nfa.with_initials([s]))
+    det = determinize(am.rev, initials=[am.index[s]])
     mini = minimize(det)
     if mini.n != det.n:
         warnings.warn(

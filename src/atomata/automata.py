@@ -117,9 +117,6 @@ class Nfa:
             raise UnknownLetterError(f"letter {a!r} not in alphabet {list(self.alphabet)}")
         return self.eta[(q, a)]
 
-    def with_initials(self, initials: Iterable) -> "Nfa":
-        return Nfa(self.states, self.alphabet, dict(self.eta), frozenset(initials), self.finals)
-
 
 def reverse(m: Dfa | Nfa) -> Nfa:
     """Swap initial and final states and flip every transition."""
@@ -144,9 +141,10 @@ def reverse(m: Dfa | Nfa) -> Nfa:
     raise TypeError(f"cannot reverse {type(m).__name__}")
 
 
-def determinize(m: Nfa) -> Dfa:
+def determinize(m: Nfa, initials: Iterable | None = None) -> Dfa:
     """Subset construction from the initial set; keeps subset labels.
 
+    ``initials``, when given, is the initial set in place of ``m.initials``.
     State i of the result carries ``labels[i]``, the frozenset of NFA states
     it stands for.  The empty subset, if reached, stays as a non-final sink.
     The walk numbers the NFA's states by their position in ``m.states`` and
@@ -167,7 +165,13 @@ def determinize(m: Nfa) -> Dfa:
         packed[bit[q]] = union
     shifts = range(0, len(m.alphabet) * width, width)
     full = (1 << width) - 1
-    init = sum(map(bit.__getitem__, m.initials))
+    if initials is None:
+        initials = m.initials
+    else:
+        initials = frozenset(initials)
+        if not bit.keys() >= initials:
+            raise ValueError("initial states must be states")
+    init = sum(map(bit.__getitem__, initials))
     order = [init]
     index = {init: 0}
     cols: list[list[int]] = [[] for _ in shifts]

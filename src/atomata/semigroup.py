@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import factorial
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .automata import Dfa, minimize
@@ -13,6 +14,8 @@ from .transformations import Transformation
 
 # Refuse closures whose worst case n^n would exceed this many elements.
 DEFAULT_CLOSURE_CAP = 10**8
+# The closure holds each map as a byte string, so no degree past this.
+MAX_BYTE_DEGREE = 256
 
 
 @dataclass(frozen=True)
@@ -51,42 +54,57 @@ class TransitionSemigroup:
     Elements are listed in discovery order of the breadth-first walk over
     words (shorter words first, alphabet order within a length), so the
     witness attached to each element is the first word that induces it.
+    The closure is held as byte maps (byte q of a map is the image of
+    state q); the ``Transformation`` objects and the map-to-position index
+    are built the first time something reads them.
     """
 
     def __init__(
         self,
         n: int,
         alphabet: Sequence[str],
-        elements: list[Transformation],
+        maps: list[bytes],
         words: Optional[list[str]],
         generators: Sequence[Transformation] = (),
         minimized_input: bool = False,
     ):
         self.n = n
         self.alphabet = tuple(alphabet)
-        self.elements = elements
+        self.maps = maps
         self.words = words
         self.generators = tuple(generators)
         self.minimized_input = minimized_input
-        self._index = {t.map: i for i, t in enumerate(elements)}
+
+    @cached_property
+    def elements(self) -> list[Transformation]:
+        return list(map(Transformation, self.maps))
+
+    @cached_property
+    def _index(self) -> dict[bytes, int]:
+        return dict(zip(self.maps, range(len(self.maps))))
+
+    def _position(self, t: Transformation) -> Optional[int]:
+        if not isinstance(t, Transformation) or t.n != self.n:
+            return None
+        return self._index.get(bytes(t.map))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.maps)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, t: Transformation) -> bool:
-        return isinstance(t, Transformation) and t.map in self._index
+        return self._position(t) is not None
 
     @property
     def is_full(self) -> bool:
-        return len(self.elements) == self.n**self.n
+        return len(self.maps) == self.n**self.n
 
     def witness(self, t: Transformation) -> Optional[str]:
         if self.words is None:
             raise ValueError("closure was computed without witnesses")
-        i = self._index.get(t.map)
+        i = self._position(t)
         return None if i is None else self.words[i]
 
     def word_witnesses(self) -> list[WordWitness]:
@@ -95,15 +113,12 @@ class TransitionSemigroup:
         return [WordWitness(t, w) for t, w in zip(self.elements, self.words)]
 
     def rank_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for t in self.elements:
-            hist[t.rank()] = hist.get(t.rank(), 0) + 1
-        return hist
+        return dict(Counter(map(len, map(set, self.maps))))
 
     def summary(self) -> SemigroupSummary:
         return SemigroupSummary(
             n=self.n,
-            size=len(self.elements),
+            size=len(self.maps),
             is_full=self.is_full,
             generator_count=len(self.generators),
             rank_histogram=self.rank_histogram(),
@@ -120,25 +135,34 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 def _close(
-    maps: Sequence[tuple[int, ...]],
+    maps: Sequence[Sequence[int]],
     limit: int,
     letters: Optional[Sequence[str]] = None,
-) -> tuple[list[tuple[int, ...]], Optional[list[str]]]:
-    """Breadth-first closure of map tuples under composition.
+) -> tuple[list[bytes], Optional[list[str]]]:
+    """Breadth-first closure of maps under composition.
 
-    Elements come in discovery order: the distinct generators, then each
-    known element, in order, composed with every generator in turn, so the
-    first word reaching an element is a shortest one.  The walk stops once
-    ``limit`` elements are known; pass the largest size the closure can
-    have.  When ``letters`` names the generators, the first word inducing
-    each element comes back too.
+    Each map is held as a byte string (byte q is the image of q), so a
+    product is one ``bytes.translate`` call.  Elements come in discovery
+    order: the distinct generators, then each known element, in order,
+    composed with every generator in turn, so the first word reaching an
+    element is a shortest one.  The walk stops once ``limit`` elements are
+    known; pass the largest size the closure can have.  When ``letters``
+    names the generators, the first word inducing each element comes back
+    too.
     """
-    elements = list(dict.fromkeys(maps))
-    words = None if letters is None else [letters[maps.index(g)] for g in elements]
-    if elements and len(elements[0]) == 1:
-        # degree 1: the one map (0,) is closed already, and itemgetter with
-        # one index would return a scalar, not a tuple
-        return elements, words
+    if not maps:
+        return [], None if letters is None else []
+    n = len(maps[0])
+    if n > MAX_BYTE_DEGREE:
+        raise ClosureCapError(
+            f"closure of degree {n}: byte maps hold degree at most {MAX_BYTE_DEGREE}"
+        )
+    gens = list(map(bytes, maps))
+    elements = list(dict.fromkeys(gens))
+    words = None if letters is None else [letters[gens.index(g)] for g in elements]
+    # translate table of a generator: byte v goes to g(v); the bytes past the
+    # degree are never read
+    tables = [g.ljust(256, b"\0") for g in gens]
     index = set(elements)
     # elements double as the breadth-first queue: each level is appended
     # after the one it extends
@@ -146,9 +170,8 @@ def _close(
         if len(elements) >= limit:
             break
         # word extended on the right by letter j: q goes to g(base(q))
-        after = itemgetter(*base)
-        for j, g in enumerate(maps):
-            comp = after(g)
+        for j, table in enumerate(tables):
+            comp = base.translate(table)
             if comp not in index:
                 index.add(comp)
                 elements.append(comp)
@@ -163,14 +186,13 @@ def _closure(
     *,
     witnesses: bool,
     cap: int,
-) -> tuple[list[Transformation], Optional[list[str]]]:
+) -> tuple[list[bytes], Optional[list[str]]]:
     _check_cap(n, cap)
-    maps, words = _close(
+    return _close(
         [t.map for _, t in generators],
         n**n,
         [a for a, _ in generators] if witnesses else None,
     )
-    return [Transformation(m) for m in maps], words
 
 
 def transition_semigroup(
@@ -182,9 +204,9 @@ def transition_semigroup(
     minimizes for you); the closure itself is well-defined either way.
     """
     gens = list(zip(d.alphabet, d.deltas))
-    elements, words = _closure(gens, d.n, witnesses=witnesses, cap=cap)
+    maps, words = _closure(gens, d.n, witnesses=witnesses, cap=cap)
     return TransitionSemigroup(
-        d.n, d.alphabet, elements, words, generators=dict.fromkeys(d.deltas)
+        d.n, d.alphabet, maps, words, generators=dict.fromkeys(d.deltas)
     )
 
 
@@ -214,7 +236,8 @@ def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
     generate S_n and one of its maps has rank n-1 (Howie, Fundamentals of
     Semigroup Theory, 1995; Ganyushkin & Mazorchuk, Classical Finite
     Transformation Semigroups, 2009).  Only the permutations are closed, a
-    group of at most n! elements instead of n^n.
+    group of at most n! elements instead of n^n, and only when there are
+    two distinct ones: S_n is not cyclic for n >= 3.
     """
     if n == 1:
         return bool(maps)
@@ -226,7 +249,7 @@ def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
             perms.append(m)
         elif rank == n - 1:
             has_rank_n1 = True
-    if not has_rank_n1:
+    if not has_rank_n1 or n > 2 and len(set(perms)) < 2:
         return False
     order = factorial(n)
     return len(_close(perms, order)[0]) == order

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,8 +106,9 @@ def test_determinize_of_dfa_view(ex1):
 
 
 def test_determinize_empty_initials(ex1):
-    m = reverse(ex1).with_initials([])
-    det = determinize(m)
+    det = determinize(reverse(ex1), initials=())
+    with pytest.raises(ValueError, match="initial"):
+        determinize(reverse(ex1), initials=[3, 4])
     assert det.n == 1
     assert det.labels == (frozenset(),)
     assert not det.finals
@@ -218,7 +220,11 @@ def test_kernels_match_references_on_atom_nfas():
     for d in random_dfas(seed=8, count=40, max_n=4):
         am = build_atomaton(d)
         for s in am.states:
-            check_kernels(am.nfa.with_initials([s]))
+            check_kernels(replace(am.nfa, initials=frozenset([s])))
+            # the NFA over atom numbers that atom_minimal_dfa walks, from s
+            numbered = replace(am.rev, initials=frozenset([am.index[s]]))
+            check_kernels(numbered)
+            assert_same_dfa(determinize(am.rev, initials=[am.index[s]]), determinize(numbered))
 
 
 def test_kernels_match_references_on_random_nfas():
@@ -237,7 +243,7 @@ def test_kernels_match_references_on_unusual_nfas(ex1):
     for states in (names, pairs, sets):
         for _ in range(30):
             check_kernels(random_nfa(rng, states))
-    check_kernels(reverse(ex1).with_initials([]))
+    check_kernels(replace(reverse(ex1), initials=frozenset()))
     empty_moves = Nfa((0, 1), ("a",), {}, frozenset({0}), frozenset({1}))
     check_kernels(empty_moves)
 

@@ -95,8 +95,10 @@ def test_single_state():
 
 
 def test_close_at_degree_one():
-    assert _close([(0,)], 1) == ([(0,)], None)
-    assert _close([(0,), (0,)], 5, "ab") == ([(0,)], ["a"])
+    elements, words = _close([(0,)], 1)
+    assert [tuple(e) for e in elements] == [(0,)] and words is None
+    elements, words = _close([(0,), (0,)], 5, "ab")
+    assert [tuple(e) for e in elements] == [(0,)] and words == ["a"]
     assert _close([], 1) == ([], None)
     assert _generates_full_raw([(0,)], 1)
     w = witness_max_semigroup(1)
@@ -120,6 +122,7 @@ def test_close_words_on_witness_letters(n):
     elements come in length-then-alphabet order of their words."""
     letters = {a: t.map for a, t in zip("abc", witness_max_semigroup(n).deltas)}
     elements, words = _close(list(letters.values()), n**n, "abc")
+    elements = [tuple(e) for e in elements]
     assert set(elements) == worklist_closure(list(letters.values()))
     assert len(elements) == len(set(elements)) == n**n
     lengths = shortest_word_lengths(list(letters.values()))
@@ -130,6 +133,60 @@ def test_close_words_on_witness_letters(n):
         assert tuple(image) == t, (t, w)
         assert len(w) == lengths[t], (t, w)
     assert all((len(w1), w1) < (len(w2), w2) for w1, w2 in zip(words, words[1:]))
+
+
+def test_close_refuses_degrees_past_byte_maps():
+    with pytest.raises(ClosureCapError, match="degree 300"):
+        _close([tuple(range(300))], 1)
+    flip = tuple(reversed(range(256)))
+    elements, _ = _close([flip], 2)
+    assert [tuple(e) for e in elements] == [flip, tuple(range(256))]
+
+
+# the witnesses of T_n, and a converse finding: its letters generate A_3 and
+# one rank-2 map, 24 of the 27 maps
+ORACLE_DFAS = [(witness_max_semigroup(n), n**n) for n in range(2, 6)] + [
+    (make_dfa(3, [(0, 0, 1), (1, 2, 0)], finals=[0]), 24)
+]
+
+
+@pytest.mark.parametrize("d, size", ORACLE_DFAS, ids=["T2", "T3", "T4", "T5", "converse3"])
+def test_semigroup_readers_match_worklist_closure(d, size):
+    """Elements, ranks, membership and first words of the closure, each
+    against the worklist oracle over all n^n maps."""
+    n = d.n
+    letters = dict(zip(d.alphabet, (t.map for t in d.deltas)))
+    want = worklist_closure(list(letters.values()))
+    assert len(want) == size
+    lengths = shortest_word_lengths(list(letters.values()))
+    sg = transition_semigroup(d, witnesses=True)
+    assert len(sg) == len(want) and sg.is_full == (len(want) == n**n)
+    assert len(sg.elements) == len(set(sg.elements))
+    assert {t.map for t in sg.elements} == want
+    ranks = {}
+    for m in want:
+        ranks[len(set(m))] = ranks.get(len(set(m)), 0) + 1
+    assert sg.rank_histogram() == ranks
+
+    def induced(w):
+        image = list(range(n))
+        for a in w:
+            image = [letters[a][q] for q in image]
+        return tuple(image)
+
+    for m in itertools.product(range(n), repeat=n):
+        t = Transformation(m)
+        assert (t in sg) == (m in want), m
+        w = sg.witness(t)
+        if m in want:
+            assert induced(w) == m and len(w) == lengths[m], (m, w)
+        else:
+            assert w is None, m
+    pairs = sg.word_witnesses()
+    assert [p.transformation for p in pairs] == sg.elements
+    assert [p.word for p in pairs] == [sg.witness(t) for t in sg.elements]
+    assert identity(n + 1) not in sg and "not a map" not in sg
+    assert Transformation(range(300)) not in sg  # past what a byte map holds
 
 
 def test_syntactic_complexity_minimizes_first():
