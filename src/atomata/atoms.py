@@ -5,13 +5,13 @@ language either plain or complemented; it is identified here by the set S
 of states (= quotients) taken plain.  The atomaton is the NFA whose states
 are the atoms; it is built as reverse → determinize → reverse of the
 minimal DFA, carrying the subset labels through, which lands each atom on
-its label S.
+its label S, held as the bitmask S.bits.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .automata import Dfa, Nfa, Word, determinize, minimize, reverse
@@ -22,47 +22,46 @@ from .stateset import StateSet
 
 @dataclass
 class Atomaton:
-    """NFA over atom labels; treat as immutable.
+    """NFA over atoms; treat as immutable.
 
-    ``nfa`` has one state per atom, labeled by the StateSet S of plain
-    quotients.  Initial states are the atoms whose intersection keeps the
-    language itself plain (q0 in S); the single final state, present iff
-    the language is non-empty, is labeled by the final-state set F.
-    ``rev`` is the same NFA with the atoms numbered 0..m-1, and ``index``
-    maps each label to its number; the per-atom determinizations walk it,
-    so they hash no StateSet.
+    ``nfa`` has one state per atom, the bitmask ``S.bits`` of its label S of
+    plain quotients: the numbering of the collection walks.  Initial states
+    are the atoms whose intersection keeps the language itself plain (q0 in
+    S); the single final state, present iff the language is non-empty, is
+    the final-state set F.  ``states``, ``initials``, ``finals``, ``eta`` and
+    ``has_atom`` speak in StateSets over the n quotients.
     """
 
     n: int
     alphabet: tuple[str, ...]
     source: Dfa  # the minimal DFA the atomaton was built from
     nfa: Nfa
-    minimized_input: bool
-    rev: Nfa = field(repr=False, compare=False)
-    index: dict[StateSet, int] = field(repr=False, compare=False)
+
+    def _labels(self, masks) -> frozenset:
+        return frozenset(StateSet.from_bits(self.n, m) for m in masks)
 
     @property
     def states(self) -> tuple[StateSet, ...]:
-        return tuple(sorted(self.nfa.states, key=lambda s: (len(s), s.members())))
+        return tuple(sorted(self._labels(self.nfa.states), key=lambda s: (len(s), s.members())))
 
     @property
     def initials(self) -> frozenset:
-        return self.nfa.initials
+        return self._labels(self.nfa.initials)
 
     @property
     def finals(self) -> frozenset:
-        return self.nfa.finals
+        return self._labels(self.nfa.finals)
 
     def eta(self, s: StateSet, a: str) -> frozenset:
-        key = (s, a)
-        if key not in self.nfa.eta:
-            if a not in self.alphabet:
-                raise UnknownLetterError(f"letter {a!r} not in alphabet {list(self.alphabet)}")
+        if a not in self.alphabet:
+            raise UnknownLetterError(f"letter {a!r} not in alphabet {list(self.alphabet)}")
+        if not self.has_atom(s):
             raise NotAnAtomError(f"{s} does not label an atom")
-        return self.nfa.eta[key]
+        return self._labels(self.nfa.eta[(s.bits, a)])
 
     def has_atom(self, s: StateSet) -> bool:
-        return (s, self.alphabet[0]) in self.nfa.eta
+        # bitmasks collide across universes: {0} has bits 1 for every n
+        return s.n == self.n and (s.bits, self.alphabet[0]) in self.nfa.eta
 
 
 @dataclass(frozen=True)
@@ -92,34 +91,26 @@ class AtomReport:
 
 
 def build_atomaton(d: Dfa) -> Atomaton:
-    """Reverse, determinize, reverse again; relabel states by their subsets."""
+    """Reverse, determinize, reverse again; number each atom by its label's bitmask."""
     dm = minimize(d)
     if dm.n == d.n:
         dm = d  # already minimal: atom labels keep the caller's numbering
     drd = determinize(reverse(dm))
     assert drd.labels is not None
-    labels = tuple(StateSet(dm.n, lab) for lab in drd.labels)
+    masks = tuple(sum(1 << q for q in lab) for lab in drd.labels)
 
     rev = reverse(drd)  # NFA over drd's state indices
     eta = {
-        (labels[q], a): frozenset(labels[p] for p in rev.eta[(q, a)])
+        (masks[q], a): frozenset(masks[p] for p in rev.eta[(q, a)])
         for q in range(drd.n)
         for a in drd.alphabet
     }
-    initials = frozenset(labels[q] for q in rev.initials)
+    initials = frozenset(masks[q] for q in rev.initials)
     # the final state is the atom containing the empty word, labeled by the
     # final-state set F; when L is empty that is the negative atom
-    finals = frozenset(labels[q] for q in rev.finals)
-    nfa = Nfa(labels, drd.alphabet, eta, initials, finals)
-    return Atomaton(
-        n=dm.n,
-        alphabet=drd.alphabet,
-        source=dm,
-        nfa=nfa,
-        minimized_input=dm.n != d.n,
-        rev=rev,
-        index=dict(zip(labels, range(drd.n))),
-    )
+    finals = frozenset(masks[q] for q in rev.finals)
+    nfa = Nfa(masks, drd.alphabet, eta, initials, finals)
+    return Atomaton(n=dm.n, alphabet=drd.alphabet, source=dm, nfa=nfa)
 
 
 def _resolve_label(am: Atomaton, s: StateSet) -> StateSet:
@@ -140,7 +131,7 @@ def atom_minimal_dfa(d: Dfa, s: StateSet, *, _atomaton: Optional[Atomaton] = Non
     """
     am = _atomaton if _atomaton is not None else build_atomaton(d)
     s = _resolve_label(am, s)
-    det = determinize(am.rev, initials=[am.index[s]])
+    det = determinize(am.nfa, initials=[s.bits])
     mini = minimize(det)
     if mini.n != det.n:
         warnings.warn(
@@ -152,10 +143,8 @@ def atom_minimal_dfa(d: Dfa, s: StateSet, *, _atomaton: Optional[Atomaton] = Non
     return mini
 
 
-def atom_quotient_complexity(
-    d: Dfa, s: StateSet, *, _atomaton: Optional[Atomaton] = None
-) -> int:
-    return atom_minimal_dfa(d, s, _atomaton=_atomaton).n
+def atom_quotient_complexity(d: Dfa, s: StateSet) -> int:
+    return atom_minimal_dfa(d, s).n
 
 
 def atoms_of(d: Dfa) -> list[AtomReport]:
@@ -171,17 +160,17 @@ def atoms_of(d: Dfa) -> list[AtomReport]:
     reports = []
     for s in am.states:
         r = n - len(s)
-        complexity = atom_quotient_complexity(d, s, _atomaton=am)
+        complexity = atom_minimal_dfa(d, s, _atomaton=am).n
         bound = max_atom_complexity(n, r)
         reports.append(
             AtomReport(
                 label=s,
                 r=r,
                 is_negative=not s,
-                is_initial=s in am.initials,
+                is_initial=s.bits in am.nfa.initials,
                 # no atom is flagged final for the empty language (the atom
                 # containing the empty word would be the negative one)
-                is_final=s in am.finals and nonempty,
+                is_final=s.bits in am.nfa.finals and nonempty,
                 complexity=complexity,
                 bound=bound,
                 is_maximal=complexity == bound,

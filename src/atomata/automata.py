@@ -83,8 +83,8 @@ class Nfa:
     """An NFA with initial-state *sets*; treat instances as immutable.
 
     ``eta`` maps every (state, letter) pair to a frozenset of successor
-    states, possibly empty.  State labels can be any hashable values (ints,
-    or StateSets when the NFA is an atomaton).
+    states, possibly empty.  State labels can be any hashable values (the
+    atomaton's are the ints ``S.bits`` of its atom labels S).
     """
 
     states: tuple

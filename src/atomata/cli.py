@@ -159,7 +159,7 @@ def cmd_atomaton(args) -> int:
         "initials": ordered(am.initials),
         "finals": ordered(am.finals),
         "transitions": {
-            s.label(): {a: ordered(am.nfa.eta[(s, a)]) for a in am.alphabet}
+            s.label(): {a: ordered(am.eta(s, a)) for a in am.alphabet}
             for s in states
         },
     }

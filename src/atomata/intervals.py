@@ -16,10 +16,10 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional
 
-from .atoms import Atomaton, _reachable_collections, build_atomaton
+from .atoms import _reachable_collections, _resolve_label, build_atomaton
 from .automata import Dfa, Word, minimize
 from .bounds import max_atom_complexity
-from .errors import FullSemigroupError, IntervalConsistencyError, NotAnAtomError
+from .errors import FullSemigroupError, IntervalConsistencyError
 from .semigroup import generates_full
 from .stateset import StateSet
 from .transformations import Transformation, apply_to_set, coimage, is_preimage
@@ -171,29 +171,18 @@ def _interval_of_mask(n: int, cm: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _interval_walk(
-    d: Dfa, s: StateSet, *, _atomaton: Optional[Atomaton] = None
-) -> tuple[int, set[tuple[int, int]], bool]:
+def _interval_walk(d: Dfa, s: StateSet) -> tuple[int, set[tuple[int, int]], bool]:
     """Breadth-first walk over collections from {s}; see interval_reach_count."""
     _require_full(d)
-    am = _atomaton if _atomaton is not None else build_atomaton(d)
-    n = am.n
-    if s.n != n:
-        raise ValueError(f"state set universe {s.n} does not match {n}")
-    if not am.has_atom(s):
-        raise NotAnAtomError(f"{s.label()} does not label an atom of this language")
-    etas = [
-        {
-            src.bits: sum(1 << succ.bits for succ in am.nfa.eta[(src, a)])
-            for src in am.nfa.states
-        }
-        for a in am.alphabet
-    ]
+    am = build_atomaton(d)
+    _resolve_label(am, s)
+    nfa = am.nfa
+    etas = [{q: sum(1 << p for p in nfa.eta[(q, a)]) for q in nfa.states} for a in am.alphabet]
     collections = _reachable_collections(etas, 1 << s.bits)
     types: set[tuple[int, int]] = set()
     for cm in collections:
         if cm:
-            lo, hi = _interval_of_mask(n, cm)
+            lo, hi = _interval_of_mask(am.n, cm)
             types.add((lo.bit_count(), hi.bit_count()))
     return len(collections), types, 0 in collections
 

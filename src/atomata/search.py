@@ -513,8 +513,9 @@ def verify_theorem3(
     num_shards: int = 1,
 ) -> CampaignReport:
     """Check that every minimal DFA with full transition semigroup has all
-    2^n atoms, each at its complexity bound.  Violations (none expected) are
-    dumped as records."""
+    2^n atoms, each at its complexity bound.  Violations (none expected for
+    n >= 2) are dumped as records; at n = 1 a one-state language has one
+    atom, not two, so violations there are expected."""
     params: dict = {"n": n, "k": k, "shard": shard, "num_shards": num_shards}
     if mode == "sample":
         params.update(samples=samples, seed=seed)
@@ -641,7 +642,9 @@ def verify_prop1(
     """Full syntactic complexity must force the reverse language to have 2^n
     quotients.  Witness mode checks the constructed witness; exhaustive mode
     then scans every DFA at (n, k) as ``verify_theorem3`` does, and checks
-    each minimal one whose letters generate T_n."""
+    each minimal one whose letters generate T_n.  The claim needs n >= 2: a
+    one-state language has one atom, not two, so violations at n = 1 are
+    expected."""
     if mode not in ("witness", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     campaign = f"prop1-n{n}-{mode}"

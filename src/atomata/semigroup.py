@@ -66,14 +66,12 @@ class TransitionSemigroup:
         maps: list[bytes],
         words: Optional[list[str]],
         generators: Sequence[Transformation] = (),
-        minimized_input: bool = False,
     ):
         self.n = n
         self.alphabet = tuple(alphabet)
         self.maps = maps
         self.words = words
         self.generators = tuple(generators)
-        self.minimized_input = minimized_input
 
     @cached_property
     def elements(self) -> list[Transformation]:
@@ -122,7 +120,6 @@ class TransitionSemigroup:
             is_full=self.is_full,
             generator_count=len(self.generators),
             rank_histogram=self.rank_histogram(),
-            minimized_input=self.minimized_input,
         )
 
 

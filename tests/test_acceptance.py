@@ -87,7 +87,7 @@ def test_criterion_1_golden_fixture():
         for sub, row in G.TABLE_ATOMATON.items():
             s = StateSet(3, sub)
             for a, coll in row.items():
-                assert {frozenset(t.members()) for t in am.nfa.eta[(s, a)]} == coll
+                assert {frozenset(t.members()) for t in am.eta(s, a)} == coll
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1 s"
@@ -168,7 +168,7 @@ def test_criterion_6_prop1_prop2():
 def _eta_bruteforce(am, s, a):
     """Collection reached from s under a in the atomaton built by the plain
     reverse-determinize-reverse pipeline."""
-    return set(am.nfa.eta[(s, a)])
+    return set(am.eta(s, a))
 
 
 def _eta_formula(d, s, a):

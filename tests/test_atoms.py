@@ -12,6 +12,7 @@ from atomata import (
     atoms_of,
     build_atomaton,
     determinize,
+    interval_reach_count,
     membership_in_atom,
     minimize,
     quotient_complexity,
@@ -39,7 +40,7 @@ def test_atomaton_matches_golden_table(ex1):
     for sub, row in G.TABLE_ATOMATON.items():
         s = _sets(3, sub)
         for a, collection in row.items():
-            got = {frozenset(t.members()) for t in am.nfa.eta[(s, a)]}
+            got = {frozenset(t.members()) for t in am.eta(s, a)}
             assert got == collection, (sub, a)
 
 
@@ -71,7 +72,7 @@ def test_negative_atom_has_no_incoming_edges(ex1):
             if s == phi:
                 continue
             for a in am.alphabet:
-                assert phi not in am.nfa.eta[(s, a)]
+                assert phi not in am.eta(s, a)
 
 
 # --- atoms_of ----------------------------------------------------------------
@@ -119,6 +120,14 @@ def test_atom_count_equals_reverse_complexity():
 def test_atom_minimal_dfa_errors(ex1):
     with pytest.raises(NotAnAtomError):
         atom_minimal_dfa(ex1, StateSet(4, [0]))
+    # StateSet(4, [0]) has the bits of StateSet(3, [0]), an atom of ex1
+    am = build_atomaton(ex1)
+    assert am.has_atom(StateSet(3, [0]))
+    assert not am.has_atom(StateSet(4, [0]))
+    with pytest.raises(NotAnAtomError):
+        am.eta(StateSet(4, [0]), "a")
+    with pytest.raises(ValueError):
+        interval_reach_count(ex1, StateSet(4, [0]))
     d2 = make_dfa(2, [(0, 1), (0, 0)], finals=[1])
     labels = {s.label() for s in build_atomaton(d2).states}
     assert "01" not in labels  # {0,1} is not an atom of this language
@@ -188,7 +197,7 @@ def test_atom_labels_use_callers_numbering():
     am = build_atomaton(d)
     for s in am.states:
         for a in d.alphabet:
-            got = set(am.nfa.eta[(s, a)])
+            got = set(am.eta(s, a))
             # pipeline definition in the caller's coordinates: T maps to s
             # exactly when the preimage of T under delta_a is s
             t_all = (StateSet.from_bits(3, b) for b in range(8))

@@ -220,11 +220,10 @@ def test_kernels_match_references_on_atom_nfas():
     for d in random_dfas(seed=8, count=40, max_n=4):
         am = build_atomaton(d)
         for s in am.states:
-            check_kernels(replace(am.nfa, initials=frozenset([s])))
-            # the NFA over atom numbers that atom_minimal_dfa walks, from s
-            numbered = replace(am.rev, initials=frozenset([am.index[s]]))
-            check_kernels(numbered)
-            assert_same_dfa(determinize(am.rev, initials=[am.index[s]]), determinize(numbered))
+            # the NFA over atom bitmasks that atom_minimal_dfa walks, from s
+            from_s = replace(am.nfa, initials=frozenset([s.bits]))
+            check_kernels(from_s)
+            assert_same_dfa(determinize(am.nfa, initials=[s.bits]), determinize(from_s))
 
 
 def test_kernels_match_references_on_random_nfas():

@@ -406,6 +406,19 @@ PINNED_OUTPUTS = [
         ["verify", "prop1", "--n", "1", "--k", "2", "--exhaustive"],
         "dae487bddb30b9975a4c413b1c9b03cf8bd27930832ad86f9bb3b6b455723c59",
     ),
+    (["atomaton", "EX1"], "24f7922a50bae6a093f85bcbc8201bb4954d2ea025f9c9af9f202d51001ae10a"),
+    (
+        ["atomaton", "EX1", "--format", "json"],
+        "92e6cad9443cf8f32c30a718fc13d83696a3915f29b20b05703e4c26581a713a",
+    ),
+    (
+        ["atoms", "EX1", "--format", "json"],
+        "e1f47d8ca63db0d6d68b13fc5ad59b12465beb7b7c8b4099efb90c8975be4213",
+    ),
+    (
+        ["intervals", "EX1", "--atom", "01", "--format", "json"],
+        "8bdee8ebc4447962b140bdc7ad037b9ef72c9a83c10b0d6f53a5b622b1176a38",
+    ),
 ]
 
 
@@ -414,7 +427,7 @@ def test_output_is_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "ex1.dfa"
     path.write_text(G.FIXTURE_TEXT)
     argv = [str(path) if a == "EX1" else a for a in argv]
-    if argv[0] != "semigroup":
+    if argv[0] in ("verify", "search"):
         argv += ["--timestamp", "2013-02-15T00:00:00+00:00"]
     code, out, _ = _run(capsys, argv)
     assert code == 0

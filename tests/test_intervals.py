@@ -77,7 +77,7 @@ def test_eta_letter_agrees_with_atomaton(ex1):
         for a in ex1.alphabet:
             iv = eta_letter(ex1, s, a)
             got = set() if iv is None else set(iv.members())
-            assert got == set(am.nfa.eta[(s, a)]), (s, a)
+            assert got == set(am.eta(s, a)), (s, a)
 
 
 # --- interval transitions ----------------------------------------------------
@@ -193,7 +193,7 @@ def _reachable_interval_graph(d, am, s):
         table = [0] * (1 << d.n)
         for bits in range(1 << d.n):
             src = StateSet.from_bits(d.n, bits)
-            for succ in am.nfa.eta[(src, a)]:
+            for succ in am.eta(src, a):
                 table[bits] |= 1 << succ.bits
         tables[a] = table
     start = 1 << s.bits

@@ -8,6 +8,7 @@ from atomata import (
     StateSet,
     atom_count,
     atoms_of,
+    build_atomaton,
     is_minimal,
     syntactic_complexity,
     transition_semigroup,
@@ -30,6 +31,7 @@ from atomata.search import (
     _atom_complexities,
     _closure_size,
     _estimated_count,
+    _eta_tables,
     _is_minimal_raw,
     _pre_tables,
     _reach_subsets,
@@ -116,6 +118,25 @@ def test_engine_atom_complexities_match_public():
         for rep in atoms_of(d):
             assert comps[rep.label.bits] == rep.complexity
 
+
+
+def test_engine_eta_tables_match_atomaton():
+    """The engine's collection tables and the atomaton share no code: each
+    is the other's oracle, on every atom S and letter."""
+    dfas = [
+        make_dfa(3, [t.map for t in deltas], finals=[2])
+        for deltas in full_semigroup_transition_tuples(3, 3)
+    ]
+    assert len(dfas) == 972
+    rng = random.Random(13)
+    dfas += [sample_full_semigroup_dfa(4, rng) for _ in range(20)]
+    for d in dfas:
+        n = d.n
+        etas = _eta_tables(n, _pre_tables(n, tuple(t.map for t in d.deltas)))
+        nfa = build_atomaton(d).nfa
+        for eta, a in zip(etas, d.alphabet):
+            for s_bits in range(1 << n):
+                assert eta[s_bits] == sum(1 << p for p in nfa.eta[(s_bits, a)]), (d, s_bits, a)
 
 # --- witnesses ---------------------------------------------------------------
 
