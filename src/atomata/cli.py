@@ -14,7 +14,7 @@ from .bounds import max_atom_complexity, max_over_r
 from .document import parse_dfa, serialize_dfa
 from .errors import AtomataError
 from .intervals import interval_reach_report
-from .semigroup import DEFAULT_CLOSURE_CAP, transition_semigroup
+from .semigroup import transition_semigroup
 from .stateset import parse_subset_label
 
 
@@ -63,7 +63,7 @@ def cmd_analyze(args) -> int:
     d = parse_dfa(_read_document(args.file))
     dm = minimize(d)
     reports = atoms_of(d)
-    sc = len(transition_semigroup(dm, cap=args.max_closure))
+    sc = len(transition_semigroup(dm))
     rev_qc = quotient_complexity(determinize(reverse(d)))
     data = {
         "states": d.n,
@@ -102,7 +102,7 @@ def cmd_analyze(args) -> int:
 def cmd_semigroup(args) -> int:
     d = parse_dfa(_read_document(args.file))
     dm = minimize(d)
-    sg = transition_semigroup(dm, witnesses=args.witnesses, cap=args.max_closure)
+    sg = transition_semigroup(dm, witnesses=args.witnesses)
     data = replace(sg.summary(), minimized_input=dm.n != d.n).to_dict()
     if args.witnesses:
         data["witnesses"] = [
@@ -283,7 +283,7 @@ def cmd_witness(args) -> int:
     if args.which == "example1":
         d = search.example1()
     elif args.which == "max-semigroup":
-        d = search.witness_max_semigroup(args.n, cap=args.max_closure)
+        d = search.witness_max_semigroup(args.n)
     else:
         raise AtomataError(f"unknown witness {args.which!r}")
     print(serialize_dfa(d), end="")
@@ -298,21 +298,21 @@ def _add_format(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_closure_cap(p) -> None:
-    p.add_argument(
-        "--max-closure",
-        type=int,
-        default=DEFAULT_CLOSURE_CAP,
-        help="refuse semigroup closures whose n^n exceeds this",
-    )
+def count(text: str) -> int:
+    """Type of the count flags: an integer of at least 1.  argparse reports
+    a non-integer as an "invalid count value", after this function's name."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_campaign_opts(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--n", type=count, required=True)
+    p.add_argument("--k", type=count, default=3)
+    p.add_argument("--samples", type=count, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=count, default=1)
     p.add_argument("--timestamp", default=None, help="fixed timestamp for reproducible records")
 
 
@@ -326,14 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for one DFA document")
     p.add_argument("file", help="DFA document path, or - for stdin")
     _add_format(p)
-    _add_closure_cap(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("semigroup", help="transition-semigroup summary")
     p.add_argument("file")
     p.add_argument("--witnesses", action="store_true", help="list a word per element")
     _add_format(p)
-    _add_closure_cap(p)
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser("atoms", help="per-atom report, or one atom's minimal DFA")
@@ -371,13 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run a counterexample campaign (JSONL output)")
     p.add_argument("which", choices=("converse",))
     _add_campaign_opts(p)
-    p.add_argument("--limit", type=int, default=None, help="stop after this many findings")
+    p.add_argument("--limit", type=count, default=None, help="stop after this many findings")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("witness", help="print a named witness DFA document")
     p.add_argument("which", choices=("max-semigroup", "example1"))
-    p.add_argument("--n", type=int, default=3)
-    _add_closure_cap(p)
+    p.add_argument("--n", type=count, default=3)
     p.set_defaults(func=cmd_witness)
 
     return parser

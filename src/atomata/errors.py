@@ -14,7 +14,7 @@ class DegreeCapError(AtomataError, ValueError):
 
 
 class ClosureCapError(AtomataError, RuntimeError):
-    """A semigroup closure would exceed the configured element cap."""
+    """A semigroup closure could outgrow its element bound or byte maps."""
 
 
 class EnumerationCapError(AtomataError, ValueError):

@@ -114,7 +114,8 @@ def _check_interval_preimages(t: Transformation, iv: Interval) -> None:
     """Verify that every member of iv is a preimage of t, or raise.
 
     Members are enumerated: callers run ``_require_full`` first, whose
-    closure cap keeps n <= 8, so an interval has at most 2^8 of them.
+    full-semigroup test closes n! permutations under the closure bound and
+    so keeps n <= 10; an interval has at most 2^10 members.
     """
     for member in iv.members():
         if not is_preimage(t, member):

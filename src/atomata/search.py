@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -33,12 +34,7 @@ from .automata import Dfa, determinize, minimize, quotient_complexity, reverse
 from .bounds import max_atom_complexity
 from .document import serialize_dfa
 from .errors import AtomataError, EnumerationCapError
-from .semigroup import (
-    DEFAULT_CLOSURE_CAP,
-    _close,
-    _generates_full_raw,
-    syntactic_complexity,
-)
+from .semigroup import _close, _generates_full_raw, syntactic_complexity
 from .stateset import StateSet
 from .transformations import Transformation, identity, make_cycle, make_singular
 
@@ -172,12 +168,13 @@ def example1() -> Dfa:
     )
 
 
-def witness_max_semigroup(n: int, *, cap: int = DEFAULT_CLOSURE_CAP) -> Dfa:
+def witness_max_semigroup(n: int) -> Dfa:
     """An n-state DFA with syntactic complexity exactly n^n.
 
     Letters: a = (0,1), b = (0,1,...,n-1), c = (n-1 -> 0); degenerate
     letters collapse to the identity at n = 1.  The construction is checked
-    before returning: a wrong closure size raises.
+    before returning by the full-semigroup test, which closes the n!
+    permutations, so n > 10 raises ``ClosureCapError``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -188,7 +185,7 @@ def witness_max_semigroup(n: int, *, cap: int = DEFAULT_CLOSURE_CAP) -> Dfa:
         b = make_cycle(n, range(n))
         c = make_singular(n, n - 1, 0)
     d = Dfa(n, ("a", "b", "c"), (a, b, c), 0, StateSet(n, [n - 1]))
-    sc = syntactic_complexity(d, cap=cap)
+    sc = syntactic_complexity(d)
     if sc != n**n:
         raise AtomataError(
             f"witness construction broke: syntactic complexity {sc} != {n ** n}"
@@ -602,6 +599,8 @@ def run_sharded(
     run, and findings are cut to ``limit``, so the records equal that
     run's.  When the limit cuts the merge, ``scanned`` and ``tested``
     report the work the shards did, which can exceed the single run's.
+    The pool starts at most one process per CPU, whatever ``workers`` is;
+    ``workers`` only sets the number of shards.
     """
     if workers <= 1:
         return campaign_func(n, k, **kwargs)
@@ -609,7 +608,7 @@ def run_sharded(
     kwargs["timestamp"] = _now(kwargs.get("timestamp"))
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(campaign_func, n, k, **dict(kwargs, shard=i, num_shards=workers))
             for i in range(workers)
@@ -637,7 +636,6 @@ def verify_prop1(
     k: int = 3,
     mode: str = "witness",
     timestamp: Optional[str] = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> CampaignReport:
     """Full syntactic complexity must force the reverse language to have 2^n
     quotients.  Witness mode checks the constructed witness; exhaustive mode
@@ -654,7 +652,7 @@ def verify_prop1(
         report.tested += 1
         return quotient_complexity(determinize(reverse(d)))
 
-    w = witness_max_semigroup(n, cap=cap)
+    w = witness_max_semigroup(n)
     report.scanned += 1
     rev_qc = reverse_complexity(w)
     if rev_qc != 1 << n:

@@ -12,10 +12,12 @@ from .automata import Dfa, minimize
 from .errors import ClosureCapError, DegreeMismatchError
 from .transformations import Transformation
 
-# Refuse closures whose worst case n^n would exceed this many elements.
-DEFAULT_CLOSURE_CAP = 10**8
 # The closure holds each map as a byte string, so no degree past this.
 MAX_BYTE_DEGREE = 256
+# The most elements a closure may hold, |T_8|; the closure of the n = 8
+# witness peaks near 1.5 GB of RSS.  It admits n^n closures up to n = 8
+# and the n! permutation closures of the full-semigroup test up to n = 10.
+MAX_CLOSURE = 8**8
 
 
 @dataclass(frozen=True)
@@ -123,14 +125,6 @@ class TransitionSemigroup:
         )
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n**n > cap:
-        raise ClosureCapError(
-            f"closure of degree {n} could reach {n**n} elements, over the cap {cap}; "
-            "raise the cap to proceed"
-        )
-
-
 def _close(
     maps: Sequence[Sequence[int]],
     limit: int,
@@ -143,9 +137,9 @@ def _close(
     order: the distinct generators, then each known element, in order,
     composed with every generator in turn, so the first word reaching an
     element is a shortest one.  The walk stops once ``limit`` elements are
-    known; pass the largest size the closure can have.  When ``letters``
-    names the generators, the first word inducing each element comes back
-    too.
+    known; pass the largest size the closure can have.  A ``limit`` over
+    ``MAX_CLOSURE`` is refused before any product.  When ``letters`` names
+    the generators, the first word inducing each element comes back too.
     """
     if not maps:
         return [], None if letters is None else []
@@ -153,6 +147,11 @@ def _close(
     if n > MAX_BYTE_DEGREE:
         raise ClosureCapError(
             f"closure of degree {n}: byte maps hold degree at most {MAX_BYTE_DEGREE}"
+        )
+    if limit > MAX_CLOSURE:
+        raise ClosureCapError(
+            f"closure of degree {n} could reach {limit} elements, "
+            f"over the bound of {MAX_CLOSURE}"
         )
     gens = list(map(bytes, maps))
     elements = list(dict.fromkeys(gens))
@@ -182,9 +181,7 @@ def _closure(
     n: int,
     *,
     witnesses: bool,
-    cap: int,
 ) -> tuple[list[bytes], Optional[list[str]]]:
-    _check_cap(n, cap)
     return _close(
         [t.map for _, t in generators],
         n**n,
@@ -192,37 +189,37 @@ def _closure(
     )
 
 
-def transition_semigroup(
-    d: Dfa, *, witnesses: bool = False, cap: int = DEFAULT_CLOSURE_CAP
-) -> TransitionSemigroup:
+def transition_semigroup(d: Dfa, *, witnesses: bool = False) -> TransitionSemigroup:
     """All transformations of the state set induced by non-empty words.
 
     The caller is expected to pass a minimal DFA (``syntactic_complexity``
     minimizes for you); the closure itself is well-defined either way.
+    Past n = 8, where n^n exceeds ``MAX_CLOSURE``, it raises
+    ``ClosureCapError``.
     """
     gens = list(zip(d.alphabet, d.deltas))
-    maps, words = _closure(gens, d.n, witnesses=witnesses, cap=cap)
+    maps, words = _closure(gens, d.n, witnesses=witnesses)
     return TransitionSemigroup(
         d.n, d.alphabet, maps, words, generators=dict.fromkeys(d.deltas)
     )
 
 
-def syntactic_complexity(d: Dfa, *, cap: int = DEFAULT_CLOSURE_CAP) -> int:
+def syntactic_complexity(d: Dfa) -> int:
     """Size of the transition semigroup of the minimal DFA of the language.
 
     A full semigroup is recognised from its letters, so n^n comes without a
     closure; any other size is counted by closing the letters.
     """
     dm = minimize(d)
-    if generates_full(dm.deltas, dm.n, cap=cap):
+    if generates_full(dm.deltas, dm.n):
         return dm.n**dm.n
-    return len(transition_semigroup(dm, cap=cap))
+    return len(transition_semigroup(dm))
 
 
-def semigroup_summary(d: Dfa, *, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupSummary:
+def semigroup_summary(d: Dfa) -> SemigroupSummary:
     """Summary computed on the minimal DFA; notes whether input was minimized."""
     dm = minimize(d)
-    sg = transition_semigroup(dm, cap=cap)
+    sg = transition_semigroup(dm)
     return replace(sg.summary(), minimized_input=dm.n != d.n)
 
 
@@ -252,23 +249,22 @@ def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
     return len(_close(perms, order)[0]) == order
 
 
-def generates_full(
-    gens: Iterable[Transformation], n: int, *, cap: int = DEFAULT_CLOSURE_CAP
-) -> bool:
-    """Whether the given transformations generate all n^n self-maps."""
+def generates_full(gens: Iterable[Transformation], n: int) -> bool:
+    """Whether the given transformations generate all n^n self-maps.
+
+    Past n = 10, where n! exceeds ``MAX_CLOSURE``, it raises
+    ``ClosureCapError`` whenever the permutations must be closed.
+    """
     gens = list(gens)
     for t in gens:
         if t.n != n:
             raise DegreeMismatchError(f"generator degree {t.n} != {n}")
     if not gens:
         return False
-    _check_cap(n, cap)
     return _generates_full_raw([t.map for t in gens], n)
 
 
-def word_for(
-    d: Dfa, t: Transformation, *, cap: int = DEFAULT_CLOSURE_CAP
-) -> Optional[str]:
+def word_for(d: Dfa, t: Transformation) -> Optional[str]:
     """First word (length, then alphabet order) inducing t, or None."""
-    sg = transition_semigroup(d, witnesses=True, cap=cap)
+    sg = transition_semigroup(d, witnesses=True)
     return sg.witness(t)

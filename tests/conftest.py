@@ -5,12 +5,23 @@ import pytest
 
 from atomata import Dfa, StateSet, Transformation
 from atomata.search import example1, random_dfa
-from atomata.semigroup import _generates_full_raw
+from atomata.errors import ClosureCapError
+from atomata.semigroup import MAX_CLOSURE, _close, _generates_full_raw
 
 
 @pytest.fixture
 def ex1() -> Dfa:
     return example1()
+
+
+@pytest.fixture
+def closure_bound():
+    """Fails unless ``_close`` refuses a limit past ``MAX_CLOSURE``.
+
+    Tests that expect the refusal of a closure of millions of elements use
+    it, so that a missing check fails here instead of building that closure."""
+    with pytest.raises(ClosureCapError):
+        _close([(1, 0)], MAX_CLOSURE + 1)
 
 
 def make_dfa(n, maps, initial=0, finals=(), letters=None):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -283,16 +284,60 @@ def test_unknown_subcommand_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_max_closure_flag_alone_sets_the_cap(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "EX1"], ["semigroup", "EX1"], ["witness", "example1"]],
+    ids=["analyze", "semigroup", "witness"],
+)
+def test_closure_bound_has_no_flag(capsys, monkeypatch, tmp_path, argv):
     path = tmp_path / "ex1.dfa"
     path.write_text(G.FIXTURE_TEXT)
-    code, _, err = _run(capsys, ["semigroup", str(path), "--max-closure", "8"])
-    assert code == 1
-    assert "cap" in err
+    argv = [str(path) if a == "EX1" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-closure", "8"])
+    assert exc.value.code == 2
+    assert "--max-closure" in capsys.readouterr().err
     # the environment plays no part
     monkeypatch.setenv("ATOMATA_MAX_CLOSURE", "8")
-    code, _, _ = _run(capsys, ["semigroup", str(path)])
+    code, _, _ = _run(capsys, argv)
     assert code == 0
+
+
+def test_closure_bound_on_the_command_line(capsys, tmp_path, closure_bound):
+    code, doc, _ = _run(capsys, ["witness", "max-semigroup", "--n", "9"])
+    assert code == 0
+    assert parse_dfa(doc).n == 9
+    path = tmp_path / "w9.dfa"
+    path.write_text(doc)
+    code, out, err = _run(capsys, ["semigroup", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "387420489" in err and "16777216" in err
+    # 11! permutations: refused before the full-semigroup test closes any
+    code, out, err = _run(capsys, ["witness", "max-semigroup", "--n", "11"])
+    assert code == 1
+    assert out == ""
+    assert "39916800" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["search", "converse", "--n", "3", "--k", "2", "--limit", "0"], "--limit"),
+        (["search", "converse", "--n", "3", "--k", "2", "--workers", "0"], "--workers"),
+        (["verify", "prop2", "--samples", "0"], "--samples"),
+        (["verify", "prop2", "--n", "0"], "--n"),
+        (["verify", "theorem3", "--n", "3", "--k", "-1"], "--k"),
+        (["verify", "theorem3", "--n", "three"], "--n"),
+        (["witness", "max-semigroup", "--n", "0"], "--n"),
+    ],
+    ids=["limit", "workers", "samples", "prop2-n", "k", "n-not-int", "witness-n"],
+)
+def test_counts_below_one_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_semigroup_witnesses_closes_once(capsys, monkeypatch, tmp_path):
@@ -350,6 +395,26 @@ def test_exhaustive_flag_rejected_by_verify(capsys, which):
     assert code == 1
     assert out == ""
     assert "--exhaustive" in err
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    """Every `atomata ...` line of the README's CLI block exits 0: FILE is the
+    example1 document, optional flags lose their brackets, and a pipe feeds
+    the first command's output to the second as stdin."""
+    path = tmp_path / "ex1.dfa"
+    path.write_text(G.FIXTURE_TEXT)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [l.split("#")[0].strip() for l in block.splitlines() if l.startswith("atomata ")]
+    assert len(lines) >= 10
+    for line in lines:
+        stdin = None
+        for command in line.split("|"):
+            atomata, *argv = shlex.split(command.replace("[", "").replace("]", ""))
+            assert atomata == "atomata", line
+            argv = [str(path) if a == "FILE" else a for a in argv]
+            code, stdin, err = _run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+            assert code == 0, (line, err)
 
 
 def test_cli_module_runs_without_runpy_warning():

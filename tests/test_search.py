@@ -237,7 +237,8 @@ def _assert_record_roundtrips(rec: CampaignRecord):
 
 
 def test_prop1_witness_mode():
-    for n in (2, 3, 4):
+    # n = 9 needs the full-semigroup test of a degree-9 witness (9! permutations)
+    for n in (2, 3, 4, 9):
         rep = verify_prop1(n, timestamp="fixed")
         assert rep.violations == []
         assert rep.tested == 1
@@ -324,6 +325,38 @@ def test_run_sharded_honours_limit():
     assert len(merged.findings) == 5
     assert merged.findings == single.findings
     assert merged.extra == single.extra
+
+
+def test_run_sharded_starts_one_process_per_cpu(monkeypatch):
+    import concurrent.futures
+    import os
+
+    pool_sizes = []
+
+    class InlinePool:
+        """Records the pool size and runs each submission at once, in process."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args, **kwargs):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    merged = run_sharded(find_converse_counterexamples, 3, 2, workers=8, timestamp="fixed")
+    single = find_converse_counterexamples(3, 2, timestamp="fixed")
+    assert pool_sizes == [2]
+    assert merged.findings == single.findings
+    assert merged.params["num_shards"] == 8
 
 
 def test_letter_filters_run_once_per_letter_tuple(monkeypatch):

@@ -25,7 +25,7 @@ from atomata.search import (
     all_maps,
     witness_max_semigroup,
 )
-from atomata.semigroup import _close, _closure, _generates_full_raw  # noqa: SLF001 - exercised directly
+from atomata.semigroup import MAX_CLOSURE, _close, _closure, _generates_full_raw  # noqa: SLF001 - exercised directly
 from atomata.transformations import inverse
 from conftest import full_semigroup_transition_tuples, make_dfa, worklist_closure
 
@@ -54,7 +54,7 @@ def test_permutations_only_not_full():
     gens = [make_transposition(3, 0, 1), make_cycle(3, (0, 1, 2))]
     assert not generates_full(gens, 3)
     named = [("a", gens[0]), ("b", gens[1])]
-    elements, _ = _closure(named, 3, witnesses=False, cap=10**8)
+    elements, _ = _closure(named, 3, witnesses=False)
     assert len(elements) == 6  # the whole symmetric group, nothing more
 
 
@@ -224,12 +224,27 @@ def test_witness_order_is_length_then_alphabet(ex1):
         assert (len(w1), w1) < (len(w2), w2)
 
 
-def test_closure_cap():
-    d = make_dfa(3, [(1, 0, 2)], finals=[0])
-    with pytest.raises(ClosureCapError):
-        transition_semigroup(d, cap=8)
-    with pytest.raises(ClosureCapError):
-        witness_max_semigroup(9)
+def test_close_bound_is_checked_before_any_product():
+    letters = [make_transposition(3, 0, 1).map, make_cycle(3, (0, 1, 2)).map]
+    assert len(_close(letters, MAX_CLOSURE)[0]) == 6
+    with pytest.raises(ClosureCapError, match=f"{MAX_CLOSURE + 1} elements.*{MAX_CLOSURE}"):
+        _close(letters, MAX_CLOSURE + 1)
+
+
+def test_closure_bound_on_degrees_9_and_11(closure_bound):
+    # n^n closures stop at n = 8: 9^9 = 387420489 elements is over the bound
+    w9 = witness_max_semigroup(9)
+    with pytest.raises(ClosureCapError, match="degree 9 could reach 387420489 elements"):
+        transition_semigroup(w9)
+    # a transposition and a 9-cycle generate S_9, and c has rank 8
+    assert generates_full(w9.deltas, 9)
+    # (0 1 2) and the 9-cycle are even, so they generate at most A_9
+    even = [make_cycle(9, (0, 1, 2)), make_cycle(9, range(9)), make_singular(9, 8, 0)]
+    assert not generates_full(even, 9)
+    # 11! = 39916800 permutations are over the bound
+    gens11 = [make_transposition(11, 0, 1), make_cycle(11, range(11)), make_singular(11, 10, 0)]
+    with pytest.raises(ClosureCapError, match="degree 11 could reach 39916800 elements"):
+        generates_full(gens11, 11)
 
 
 def test_rank_histogram_full(ex1):
