@@ -225,15 +225,19 @@ def _print_report(report: search.CampaignReport) -> int:
     return 0
 
 
+def _note_ignored(why: str, flag: str) -> None:
+    """Say on stderr that ``flag`` was given but has no effect."""
+    print(f"atomata: note: {why}; {flag} is ignored", file=sys.stderr)
+
+
 def _campaign(func, args, **extra) -> int:
     """Run an enumeration campaign, over ``--workers`` processes when
     exhaustive, and print its JSONL."""
     mode = "sample" if args.samples is not None else "exhaustive"
     if mode == "sample" and args.workers > 1:
-        print(
-            "atomata: note: sampling runs in one process; --workers is ignored",
-            file=sys.stderr,
-        )
+        _note_ignored("sampling runs in one process", "--workers")
+    if mode == "exhaustive" and args.seed is not None:
+        _note_ignored("an exhaustive scan draws no samples", "--seed")
     report = search.run_sharded(
         func,
         args.n,
@@ -241,7 +245,7 @@ def _campaign(func, args, **extra) -> int:
         workers=args.workers if mode == "exhaustive" else 1,
         mode=mode,
         samples=args.samples or 0,
-        seed=args.seed,
+        seed=args.seed or 0,
         timestamp=args.timestamp,
         **extra,
     )
@@ -255,7 +259,13 @@ def cmd_verify(args) -> int:
         )
     if args.which == "theorem3":
         return _campaign(search.verify_theorem3, args)
+    if args.workers > 1:
+        _note_ignored(f"verify {args.which} runs in one process", "--workers")
     if args.which == "prop1":
+        if args.samples is not None:
+            _note_ignored("verify prop1 draws no samples", "--samples")
+        if args.seed is not None:
+            _note_ignored("verify prop1 draws no samples", "--seed")
         report = search.verify_prop1(
             args.n,
             k=args.k,
@@ -265,7 +275,7 @@ def cmd_verify(args) -> int:
     elif args.which == "prop2":
         report = search.verify_prop2(
             samples=args.samples or 10_000,
-            seed=args.seed,
+            seed=args.seed or 0,
             max_state_count=args.n,
             max_alphabet=args.k,
             timestamp=args.timestamp,
@@ -311,7 +321,7 @@ def _add_campaign_opts(p) -> None:
     p.add_argument("--n", type=count, required=True)
     p.add_argument("--k", type=count, default=3)
     p.add_argument("--samples", type=count, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
     p.add_argument("--workers", type=count, default=1)
     p.add_argument("--timestamp", default=None, help="fixed timestamp for reproducible records")
 

@@ -16,6 +16,15 @@ depend on the letter tuple alone (full semigroup or not, reachability) and
 runs once per tuple; the final-set stage holds those that also depend on
 the final states (minimality, the atom count, every atom at its bound) and
 runs once per final set of a tuple that the letter stage let through.
+
+The converse's final-set stage first asks the letters whether the DFA is
+maximally atomic, that is, has all 2^n atoms, each at its bound
+(Brzozowski & Davies, Maximally atomic languages, AFL 2014).  For a
+minimal DFA that depends on the letters alone, so the verdict is taken
+once per tuple, on the first minimal final set.  Only the DFAs it admits
+are walked atom by atom, which confirms each finding and measures the
+complexities its record carries; a DFA the letters admit but the walk
+refutes becomes a violation record.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cache, lru_cache
+from functools import lru_cache
+from math import comb
 from typing import Iterator, Optional
 
 from .atoms import _reachable_collections
@@ -34,7 +44,7 @@ from .automata import Dfa, determinize, minimize, quotient_complexity, reverse
 from .bounds import max_atom_complexity
 from .document import serialize_dfa
 from .errors import AtomataError, EnumerationCapError
-from .semigroup import _close, _generates_full_raw, syntactic_complexity
+from .semigroup import _close, _generates_full_raw, _units, syntactic_complexity
 from .stateset import StateSet
 from .transformations import Transformation, identity, make_cycle, make_singular
 
@@ -379,6 +389,61 @@ def _atom_complexities(maps: tuple[tuple[int, ...], ...], n: int) -> tuple[int, 
     )
 
 
+def _maximally_atomic_raw(maps: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """Whether a minimal DFA with these letters has all 2^n atoms, each at
+    its complexity bound.
+
+    Brzozowski & Davies (Maximally atomic languages, AFL 2014): it does
+    exactly when one letter has rank n-1 and the group of units G, which
+    the permutation letters generate, is transitive on the k-subsets of the
+    states for every k.  G must then have at least C(n, n//2) elements.  It
+    is transitive on k-subsets when the orbit of {0..k-1} has C(n, k)
+    members; k up to n/2 suffices, the others follow by complement.  Unlike
+    the full test, one permutation can pass: at n = 3 the 3-cycle
+    generates A_3, which is transitive on 1- and 2-subsets.
+    """
+    # the rank of a product is at most the lowest rank among its factors
+    if not any(len(set(m)) == n - 1 for m in maps):
+        return False
+    group = _units(maps, n)
+    half = n // 2
+    if len(group) < comb(n, half):
+        return False
+    # orbits[k - 1] holds the images of {0..k-1}, for k = 1..n//2
+    orbits: list[set[int]] = [set() for _ in range(half)]
+    for g in group:
+        image = 0
+        for q, orbit in enumerate(orbits):
+            image |= 1 << g[q]
+            orbit.add(image)
+    return all(len(orbit) == comb(n, k) for k, orbit in enumerate(orbits, 1))
+
+
+class _LetterState:
+    """What the final-set stage needs of one letter tuple, each part built
+    on its first use and kept for the tuple's other final sets."""
+
+    __slots__ = ("n", "maps", "_pres", "_atomic")
+
+    def __init__(self, n: int, maps: tuple[tuple[int, ...], ...]):
+        self.n = n
+        self.maps = maps
+        self._pres: Optional[list[list[int]]] = None
+        self._atomic: Optional[bool] = None
+
+    def pres(self) -> list[list[int]]:
+        """The letters' preimage tables (``_pre_tables``)."""
+        if self._pres is None:
+            self._pres = _pre_tables(self.n, self.maps)
+        return self._pres
+
+    def maximally_atomic(self) -> bool:
+        """The letter verdict of ``_maximally_atomic_raw``."""
+        if self._atomic is None:
+            self._atomic = _maximally_atomic_raw(self.maps, self.n)
+        return self._atomic
+
+
 def _record_from_metrics(
     d: Dfa,
     *,
@@ -409,7 +474,7 @@ def _atom_bounds(n: int) -> tuple[int, ...]:
     return tuple(max_atom_complexity(n, n - s.bit_count()) for s in range(1 << n))
 
 
-def _scan(report: CampaignReport, records: list, letters, check) -> None:
+def _scan(report: CampaignReport, letters, check) -> None:
     """Run the two stages of the campaign that ``report.params`` describes,
     counting each DFA in ``report.scanned``.
 
@@ -417,8 +482,10 @@ def _scan(report: CampaignReport, records: list, letters, check) -> None:
     tuple, anything else is the tuple's state.  ``check(maps, state,
     fbits)`` is the final-set stage; it returns None, or ``(syntactic
     complexity, atom count, atom complexities by bitmask or (), all atoms
-    maximal)`` for a DFA that is appended to ``records``.  The scan stops
-    once ``params["limit"]`` records exist.  Exhaustive mode walks this
+    maximal)`` for a DFA worth a record.  The record goes to
+    ``report.findings`` when all its atoms are maximal, else to
+    ``report.violations``.  The scan stops once ``params["limit"]``
+    findings exist.  Exhaustive mode walks this
     shard's contiguous block of first-letter indices in lexicographic
     order (the whole space without ``params["shard"]``), runs ``letters``
     once per tuple and ``check`` on its final sets counting up.  Sample
@@ -438,6 +505,7 @@ def _scan(report: CampaignReport, records: list, letters, check) -> None:
         if found is None:
             return False
         sc, atoms, comps, is_max = found
+        records = report.findings if is_max else report.violations
         records.append(
             _record_from_metrics(
                 _make_dfa(n, k, maps, fbits),
@@ -450,7 +518,7 @@ def _scan(report: CampaignReport, records: list, letters, check) -> None:
                 seed=seed,
             )
         )
-        return limit is not None and len(records) >= limit
+        return is_max and limit is not None and len(records) >= limit
 
     if report.mode == "exhaustive":
         _check_enum_caps(n, k)
@@ -487,13 +555,12 @@ def _scan(report: CampaignReport, records: list, letters, check) -> None:
 
 def _full_letters(n: int):
     """Letter stage of the campaigns over full semigroups: passes over a
-    tuple that does not generate T_n, else hands on its preimage tables,
-    built on first use."""
+    tuple that does not generate T_n, else hands on its ``_LetterState``."""
 
     def letters(maps: tuple[tuple[int, ...], ...]):
         if not _generates_full_raw(maps, n):
             return None
-        return cache(lambda: _pre_tables(n, maps))
+        return _LetterState(n, maps)
 
     return letters
 
@@ -520,17 +587,17 @@ def verify_theorem3(
     report = CampaignReport(campaign, mode, params, timestamp=_now(timestamp))
     bounds = _atom_bounds(n)
 
-    def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
+    def check(maps: tuple[tuple[int, ...], ...], state: _LetterState, fbits: int):
         if not _is_minimal_raw(n, maps, fbits):
             return None
         report.tested += 1
-        atoms = _reach_subsets(n, pres(), fbits)
+        atoms = _reach_subsets(n, state.pres(), fbits)
         comps = _atom_complexities(maps, n)
         if atoms == 1 << n and comps == bounds:
             return None
         return n**n, atoms, comps, False
 
-    _scan(report, report.violations, _full_letters(n), check)
+    _scan(report, _full_letters(n), check)
     return report
 
 
@@ -548,7 +615,17 @@ def find_converse_counterexamples(
 ) -> CampaignReport:
     """Minimal DFAs whose atoms are all maximal although the syntactic
     complexity is below n^n.  Findings land in the report together with the
-    multiset of syntactic complexities observed among them."""
+    multiset of syntactic complexities observed among them.
+
+    The letter stage keeps the tuples that reach every state and do not
+    generate T_n.  The final-set stage counts each minimal DFA in
+    ``tested``, then asks the letters whether it is maximally atomic
+    (``_maximally_atomic_raw``); most are ruled out there, before any
+    preimage table or atom walk.  The atom count and the walk over every
+    atom confirm each DFA the letters admit, and give its record the
+    measured complexities.  One they refute, where the letter test and the
+    walk disagree, is recorded as a violation; none is expected.
+    """
     params: dict = {"n": n, "k": k, "limit": limit, "shard": shard, "num_shards": num_shards}
     if mode == "sample":
         params.update(samples=samples, seed=seed)
@@ -559,20 +636,19 @@ def find_converse_counterexamples(
     def letters(maps: tuple[tuple[int, ...], ...]):
         if _reachable_bits(n, maps) != (1 << n) - 1 or _generates_full_raw(maps, n):
             return None
-        return cache(lambda: _pre_tables(n, maps))
+        return _LetterState(n, maps)
 
-    def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
+    def check(maps: tuple[tuple[int, ...], ...], state: _LetterState, fbits: int):
         if not _is_minimal_raw(n, maps, fbits):
             return None
         report.tested += 1
-        if _reach_subsets(n, pres(), fbits) != 1 << n:
+        if not state.maximally_atomic():
             return None
-        comps = _atom_complexities(maps, n)
-        if comps != bounds:
-            return None
-        return _closure_size(maps, n), 1 << n, comps, True
+        atoms = _reach_subsets(n, state.pres(), fbits)
+        comps = _atom_complexities(maps, n) if atoms == 1 << n else ()
+        return _closure_size(maps, n), atoms, comps, comps == bounds
 
-    _scan(report, report.findings, letters, check)
+    _scan(report, letters, check)
     report.extra["syntactic_complexities"] = _complexity_histogram(report.findings)
     return report
 
@@ -670,13 +746,13 @@ def verify_prop1(
         )
     if mode == "exhaustive":
 
-        def check(maps: tuple[tuple[int, ...], ...], _pres, fbits: int):
+        def check(maps: tuple[tuple[int, ...], ...], _state, fbits: int):
             if not _is_minimal_raw(n, maps, fbits):
                 return None
             rev_qc = reverse_complexity(_make_dfa(n, k, maps, fbits))
             return None if rev_qc == 1 << n else (n**n, rev_qc, (), False)
 
-        _scan(report, report.violations, _full_letters(n), check)
+        _scan(report, _full_letters(n), check)
     return report
 
 

@@ -223,15 +223,24 @@ def semigroup_summary(d: Dfa) -> SemigroupSummary:
     return replace(sg.summary(), minimized_input=dm.n != d.n)
 
 
+def _units(maps: Sequence[Sequence[int]], n: int) -> list[bytes]:
+    """The group of units of the semigroup the maps of degree n generate,
+    as byte maps: the closure of the permutations among them, at most n!
+    elements, so ``MAX_CLOSURE`` bounds it.  A product is a permutation
+    only when every factor is one, so the other maps add nothing; the
+    group is empty when no map is a permutation."""
+    return _close([m for m in maps if len(set(m)) == n], factorial(n))[0]
+
+
 def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
     """Whether the map tuples generate all n^n self-maps of {0..n-1}.
 
     For n >= 2 a set of maps generates T_n exactly when its permutations
     generate S_n and one of its maps has rank n-1 (Howie, Fundamentals of
     Semigroup Theory, 1995; Ganyushkin & Mazorchuk, Classical Finite
-    Transformation Semigroups, 2009).  Only the permutations are closed, a
-    group of at most n! elements instead of n^n, and only when there are
-    two distinct ones: S_n is not cyclic for n >= 3.
+    Transformation Semigroups, 2009).  Only the group of units is closed,
+    at most n! elements instead of n^n, and only when there are two
+    distinct permutations: S_n is not cyclic for n >= 3.
     """
     if n == 1:
         return bool(maps)
@@ -245,8 +254,7 @@ def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
             has_rank_n1 = True
     if not has_rank_n1 or n > 2 and len(set(perms)) < 2:
         return False
-    order = factorial(n)
-    return len(_close(perms, order)[0]) == order
+    return len(_units(perms, n)) == factorial(n)
 
 
 def generates_full(gens: Iterable[Transformation], n: int) -> bool:

@@ -144,6 +144,7 @@ def test_criterion_5_converse_falsity():
     with criterion(5, "converse search n=3, k=3 finds syntactic complexity 24"):
         report = find_converse_counterexamples(3, 3, timestamp="acceptance")
         assert report.findings, "expected at least one counterexample"
+        assert report.violations == []
         assert "24" in report.extra["syntactic_complexities"]
         # re-verify one finding end to end through the public pipeline
         rec = report.findings[0]

@@ -263,6 +263,28 @@ def test_sampling_notes_ignored_workers(capsys, which):
     assert err == "atomata: note: sampling runs in one process; --workers is ignored\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, why",
+    [
+        (["verify", "prop1", "--n", "3"], ["--workers", "4"], "verify prop1 runs in one process"),
+        (["verify", "prop2", "--n", "3", "--samples", "50"], ["--workers", "4"],
+         "verify prop2 runs in one process"),
+        (["verify", "prop1", "--n", "3"], ["--samples", "3"], "verify prop1 draws no samples"),
+        (["verify", "prop1", "--n", "3"], ["--seed", "5"], "verify prop1 draws no samples"),
+        (["search", "converse", "--n", "3", "--k", "2"], ["--seed", "5"],
+         "an exhaustive scan draws no samples"),
+    ],
+)
+def test_ignored_flags_are_noted(capsys, argv, flag, why):
+    argv = [*argv, "--timestamp", "t0"]
+    code, plain, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    code, out, err = _run(capsys, argv + flag)
+    assert code == 0
+    assert out == plain
+    assert err == f"atomata: note: {why}; {flag[0]} is ignored\n"
+
+
 def test_witness_max_semigroup_cli(capsys):
     code, out, _ = _run(capsys, ["witness", "max-semigroup", "--n", "4"])
     assert code == 0

@@ -28,15 +28,19 @@ from atomata.search import (
     verify_prop2,
     verify_theorem3,
     witness_max_semigroup,
+    all_maps,
+    _atom_bounds,
     _atom_complexities,
     _closure_size,
     _estimated_count,
     _eta_tables,
     _is_minimal_raw,
+    _maximally_atomic_raw,
     _pre_tables,
     _reach_subsets,
     _reachable_bits,
 )
+from atomata.semigroup import _generates_full_raw
 from conftest import full_semigroup_transition_tuples, make_dfa, worklist_closure
 
 
@@ -215,6 +219,40 @@ def test_converse_single_letter_empty():
     assert rep.findings == []
 
 
+def test_converse_reports_no_violations():
+    # n = 3, k = 3 is checked by acceptance criterion 5
+    for k in (1, 2):
+        rep = find_converse_counterexamples(3, k, timestamp="fixed")
+        assert rep.violations == [] and rep.ok
+    rep = find_converse_counterexamples(4, 3, mode="sample", samples=2000, seed=1, timestamp="t")
+    assert rep.findings and rep.violations == []
+
+
+def test_converse_records_refuted_predictions(monkeypatch):
+    """A DFA the letter test admits but the atom walk refutes becomes a
+    violation record; the findings do not change."""
+    import atomata.search as search
+
+    real = find_converse_counterexamples(3, 2, timestamp="fixed")
+    monkeypatch.setattr(search, "_maximally_atomic_raw", lambda maps, n: True)
+    rep = find_converse_counterexamples(3, 2, timestamp="fixed")
+    assert rep.findings == real.findings
+    assert rep.tested == real.tested == 2056
+    assert len(rep.violations) == rep.tested - len(rep.findings) == 2056 - 432
+    assert not rep.ok and rep.summary_dict()["violations"] == 1624
+    for rec in rep.violations[::100]:
+        d = parse_dfa(rec.dfa)
+        assert is_minimal(d) and not rec.is_maximal_atoms
+        assert rec.atom_count == atom_count(d)
+        assert syntactic_complexity(d) == rec.syntactic_complexity
+        if rec.atom_count == 8:
+            assert dict(rec.atom_complexities) == {
+                r.label.label(): r.complexity for r in atoms_of(d)
+            }
+        else:
+            assert rec.atom_complexities == ()
+
+
 def test_converse_rerun_identical_records():
     r1 = find_converse_counterexamples(3, 3, limit=4, timestamp="t0")
     r2 = find_converse_counterexamples(3, 3, limit=4, timestamp="t0")
@@ -383,6 +421,90 @@ def test_letter_filters_run_once_per_letter_tuple(monkeypatch):
         assert 0 < calls["_generates_full_raw"] <= tuples
         # one in the letter stage, one in the cached atom walk
         assert calls["_pre_tables"] <= 2 * tuples
+
+
+# --- the maximally atomic letter test -----------------------------------------
+#
+# Its oracle is the atom count and the walk over every atom, which share no
+# code with the group of units.  Both directions are checked: every DFA the
+# letters admit has all 2^n atoms at their bounds, and every other does not.
+
+
+def _converse_tuples(n, k):
+    """The letter tuples the converse's letter stage keeps: every state
+    reachable, semigroup not full."""
+    for maps in itertools.product(all_maps(n), repeat=k):
+        if _reachable_bits(n, maps) == (1 << n) - 1 and not _generates_full_raw(maps, n):
+            yield maps
+
+
+def _walk_is_maximally_atomic(n, maps, pres, fbits):
+    return _reach_subsets(n, pres, fbits) == 1 << n and _atom_complexities(maps, n) == _atom_bounds(n)
+
+
+def _check_final_sets(n, maps, final_sets):
+    """Compare the letter verdict with the walk on each minimal final set;
+    return (minimal DFAs compared, of them maximally atomic)."""
+    verdict = _maximally_atomic_raw(maps, n)
+    pres = _pre_tables(n, maps)
+    compared = 0
+    for fbits in final_sets:
+        if _is_minimal_raw(n, maps, fbits):
+            assert _walk_is_maximally_atomic(n, maps, pres, fbits) == verdict, (maps, fbits)
+            compared += 1
+    return compared, compared if verdict else 0
+
+
+@pytest.mark.parametrize("k, tested, findings", [(1, 24, 0), (2, 2056, 432), (3, 78024, 18144)])
+def test_maximally_atomic_matches_atom_walk_n3(k, tested, findings):
+    """Every minimal final set of every kept tuple; the totals are the
+    converse campaign's ``tested`` and findings."""
+    totals = [0, 0]
+    for maps in _converse_tuples(3, k):
+        for i, count in enumerate(_check_final_sets(3, maps, range(8))):
+            totals[i] += count
+    assert totals == [tested, findings]
+
+
+def test_maximally_atomic_matches_atom_walk_n4k2():
+    """Every kept pair on its first minimal final set, every 40th on all of
+    them.  No pair passes: a single permutation generates a cyclic group,
+    at most 4 elements, fewer than the C(4, 2) = 6 two-subsets."""
+    pairs = walked = 0
+    for i, maps in enumerate(_converse_tuples(4, 2)):
+        first = next((f for f in range(16) if _is_minimal_raw(4, maps, f)), None)
+        if first is None:
+            continue
+        pairs += 1
+        assert not _maximally_atomic_raw(maps, 4)
+        pres = _pre_tables(4, maps)
+        walked += _reach_subsets(4, pres, first) == 16
+        assert not _walk_is_maximally_atomic(4, maps, pres, first), maps
+        if i % 40 == 0:
+            _check_final_sets(4, maps, range(16))
+    assert pairs == 31290
+    assert walked > 0  # some pairs reach all 16 atoms, and the walk refutes them
+
+
+def test_maximally_atomic_matches_atom_walk_n4k3_sample():
+    rng = random.Random(7)
+    totals = [0, 0]
+    for _ in range(1000):
+        maps = tuple(tuple(rng.randrange(4) for _ in range(4)) for _ in range(3))
+        if _reachable_bits(4, maps) == 15 and not _generates_full_raw(maps, 4):
+            for i, count in enumerate(_check_final_sets(4, maps, range(16))):
+                totals[i] += count
+    assert totals[0] > 5000 and totals[1] > 0
+
+
+def test_maximally_atomic_passes_a_cyclic_group():
+    """At n = 3 the 3-cycle alone generates A_3, transitive on 1- and
+    2-subsets: with a rank-2 letter that is maximally atomic, not full."""
+    maps = ((1, 2, 0), (0, 0, 2))
+    assert _maximally_atomic_raw(maps, 3) and not _generates_full_raw(maps, 3)
+    assert not _maximally_atomic_raw(((1, 2, 0), (0, 0, 0)), 3)  # no rank-2 letter
+    assert not _maximally_atomic_raw(((1, 0, 2), (0, 0, 2)), 3)  # a transposition: intransitive
+    assert not _maximally_atomic_raw(((0,),), 1)
 
 
 def test_engine_caches_are_bounded():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -25,7 +26,13 @@ from atomata.search import (
     all_maps,
     witness_max_semigroup,
 )
-from atomata.semigroup import MAX_CLOSURE, _close, _closure, _generates_full_raw  # noqa: SLF001 - exercised directly
+from atomata.semigroup import (  # noqa: SLF001 - exercised directly
+    MAX_CLOSURE,
+    _close,
+    _closure,
+    _generates_full_raw,
+    _units,
+)
 from atomata.transformations import inverse
 from conftest import full_semigroup_transition_tuples, make_dfa, worklist_closure
 
@@ -73,10 +80,27 @@ def test_generates_full_edge_cases():
     "n, k", [(n, k) for n in (1, 2, 3, 4) for k in (1, 2)] + [(3, 3)]
 )
 def test_full_criterion_matches_closure_exhaustive(n, k):
-    """The generator criterion agrees with the closure on every letter tuple."""
+    """The generator criterion agrees with the closure on every letter
+    tuple, and the group of units is the permutations in the closure."""
     for maps in itertools.product(all_maps(n), repeat=k):
-        full = len(worklist_closure(maps)) == n**n
-        assert _generates_full_raw(maps, n) == full, maps
+        closure = worklist_closure(maps)
+        assert _generates_full_raw(maps, n) == (len(closure) == n**n), maps
+        units = {t for t in closure if len(set(t)) == n}
+        assert set(map(tuple, _units(maps, n))) == units, maps
+
+
+# sha256 of the verdicts of _generates_full_raw on all (3^3)^3 letter triples,
+# one byte each in lexicographic order, as recorded before the group of units
+# became its own kernel
+FULL_N3K3_VERDICTS_SHA256 = "d7bc2e068f23bb65e723b8ae91964be3f891af3a7fe0ce182031d14e9a235515"
+
+
+def test_full_criterion_verdicts_are_pinned_n3():
+    verdicts = bytes(
+        _generates_full_raw(maps, 3) for maps in itertools.product(all_maps(3), repeat=3)
+    )
+    assert sum(verdicts) == 972
+    assert hashlib.sha256(verdicts).hexdigest() == FULL_N3K3_VERDICTS_SHA256
 
 
 def test_generates_full_matches_closure_on_witness_letters():
