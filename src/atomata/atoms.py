@@ -184,7 +184,7 @@ def atom_count(d: Dfa) -> int:
     return determinize(reverse(minimize(d))).n
 
 
-def _reachable_collections(etas, start: int) -> list[int]:
+def _reachable_collections(etas, start: int, successors: Optional[dict] = None) -> list[int]:
     """Collections of atoms reachable from ``start`` in the determinized
     atomaton, in breadth-first order from ``start`` itself.
 
@@ -192,18 +192,29 @@ def _reachable_collections(etas, start: int) -> list[int]:
     ``etas[a][S]`` is the mask of atom S's successors under letter a.  The
     count is the quotient complexity of the atom when ``start`` = 1 << S:
     the determinization is already minimal because atoms are disjoint and
-    non-empty.
+    non-empty.  ``successors``, when given, maps each collection met so
+    far to its successors, one per letter; walks from several starts over
+    the same ``etas`` can share it, so each collection's successors are
+    computed once.
     """
+    if successors is None:
+        successors = {}
     seen = {start}
     order = [start]
     for cm in order:
-        for eta in etas:
-            nxt = 0
-            m = cm
-            while m:
-                b = m & -m
-                nxt |= eta[b.bit_length() - 1]
-                m ^= b
+        nxts = successors.get(cm)
+        if nxts is None:
+            nxts = []
+            for eta in etas:
+                nxt = 0
+                m = cm
+                while m:
+                    b = m & -m
+                    nxt |= eta[b.bit_length() - 1]
+                    m ^= b
+                nxts.append(nxt)
+            successors[cm] = nxts
+        for nxt in nxts:
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)

@@ -477,6 +477,15 @@ PINNED_OUTPUTS = [
         "50e1afbb46e218bc8c7735ede7d1f70b1376058afc9bc6d06bda8860863604aa",
     ),
     (
+        ["verify", "theorem3", "--n", "3", "--k", "3"],
+        "6788fa850d270b6786c9400f6b5129393dffdc1b70489a9d5355521e70f1a6cb",
+    ),
+    (
+        # the limit stops the scan inside a letter tuple's final sets
+        ["search", "converse", "--n", "3", "--k", "3", "--limit", "100"],
+        "7c095cb80773c06b073f8e1a189cdd5fa0137545b1ad74e5a0cb283295b20054",
+    ),
+    (
         ["semigroup", "EX1", "--witnesses", "--format", "json"],
         "d75a92ff0c0e995afd0e84f30da88514cd0cedc26953c6772bca44f217229838",
     ),
@@ -519,3 +528,25 @@ def test_output_is_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("limit", [[], ["--limit", "100"]], ids=["all", "limit-100"])
+def test_converse_on_two_workers_matches_one(capsys, limit):
+    argv = ["search", "converse", "--n", "3", "--k", "3", *limit, "--timestamp", "t0"]
+    outputs = []
+    for workers in ("1", "2"):
+        code, out, _ = _run(capsys, argv + ["--workers", workers])
+        assert code == 0
+        outputs.append(out.splitlines())
+    (*records, summary), (*sharded_records, sharded_summary) = outputs
+    assert sharded_records == records
+    summary, sharded_summary = json.loads(summary), json.loads(sharded_summary)
+    # the summary names the shards, and under a limit it counts the work
+    # every shard did before it stopped (search.run_sharded)
+    assert sharded_summary.pop("params") == dict(
+        summary.pop("params"), shard="merged", num_shards=2
+    )
+    if limit:
+        for key in ("scanned", "tested"):
+            assert sharded_summary.pop(key) > summary.pop(key)
+    assert sharded_summary == summary

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ from atomata import (
     atoms_of,
     build_atomaton,
     is_minimal,
+    minimize,
     syntactic_complexity,
     transition_semigroup,
 )
@@ -35,7 +37,9 @@ from atomata.search import (
     _estimated_count,
     _eta_tables,
     _is_minimal_raw,
+    _make_dfa,
     _maximally_atomic_raw,
+    _minimal_finals,
     _pre_tables,
     _reach_subsets,
     _reachable_bits,
@@ -89,6 +93,43 @@ def test_engine_minimality_matches_public():
         # _is_minimal_raw assumes every state reachable; its callers know it
         reachable = _reachable_bits(n, maps) == (1 << n) - 1
         assert (reachable and _is_minimal_raw(n, maps, d.finals.bits)) == is_minimal(d)
+
+
+def _minimal_finals_by_minimize(n, k, maps):
+    """The mask ``_minimal_finals`` should give, one ``minimize`` per final
+    set: it shares no code with the pair graph or ``_is_minimal_raw``."""
+    d = _make_dfa(n, k, maps, 0)
+    return sum(
+        (minimize(dataclasses.replace(d, finals=StateSet.from_bits(n, f))).n == n) << f
+        for f in range(1 << n)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, k, minimal",
+    # at n = 3, k = 3: theorem3's 5,832 tested plus the converse's 78,024
+    [(1, 1, 2), (1, 3, 2), (2, 1, 4), (2, 2, 24), (2, 3, 112), (3, 1, 24), (3, 2, 2056),
+     (3, 3, 83856)],
+)
+def test_minimal_finals_match_minimize(n, k, minimal):
+    """Every letter tuple that reaches every state, on all its final sets."""
+    total = 0
+    for maps in itertools.product(all_maps(n), repeat=k):
+        if _reachable_bits(n, maps) == (1 << n) - 1:
+            mask = _minimal_finals(n, maps)
+            assert mask == _minimal_finals_by_minimize(n, k, maps), maps
+            total += mask.bit_count()
+    assert total == minimal
+
+
+def test_minimal_finals_match_minimize_n4k3_sample():
+    rng = random.Random(11)
+    tuples = 0
+    while tuples < 1500:
+        maps = tuple(tuple(rng.randrange(4) for _ in range(4)) for _ in range(3))
+        if _reachable_bits(4, maps) == 15:
+            assert _minimal_finals(4, maps) == _minimal_finals_by_minimize(4, 3, maps), maps
+            tuples += 1
 
 
 def test_engine_closure_matches_public():
@@ -411,16 +452,19 @@ def test_letter_filters_run_once_per_letter_tuple(monkeypatch):
 
         return wrapper
 
-    for name in ("_generates_full_raw", "_pre_tables"):
+    names = ("_generates_full_raw", "_pre_tables", "_minimal_finals", "_is_minimal_raw")
+    for name in names:
         monkeypatch.setattr(search, name, counted(name))
     tuples = 27**2
     for campaign in (verify_theorem3, find_converse_counterexamples):
         _atom_complexities.cache_clear()
-        calls.update(_generates_full_raw=0, _pre_tables=0)
+        calls.update(dict.fromkeys(names, 0))
         campaign(3, 2, timestamp="fixed")
         assert 0 < calls["_generates_full_raw"] <= tuples
-        # one in the letter stage, one in the cached atom walk
+        # one for the atom counts of a tuple, one in its cached atom walk
         assert calls["_pre_tables"] <= 2 * tuples
+        # every final set's minimality at once; sampling alone asks one at a time
+        assert calls["_minimal_finals"] <= tuples and calls["_is_minimal_raw"] == 0
 
 
 # --- the maximally atomic letter test -----------------------------------------
