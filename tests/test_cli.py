@@ -457,8 +457,10 @@ def test_cli_module_runs_without_runpy_warning():
 # into one kernel each, prop2 before the campaigns' two-stage scan, and
 # prop1 n = 1 before prop1 ran through that scan.  The prop1 n = 3 digest
 # was recorded again when its `scanned` came to count every DFA of the
-# space, the only change in that output.  "EX1" stands for a file holding
-# the example1 document.
+# space, the only change in that output.  The last two were recorded before
+# exhaustive campaigns decided minimality once per letter tuple.  New pins go
+# at the end, so the cases already listed keep their test ids.  "EX1" stands
+# for a file holding the example1 document.
 PINNED_OUTPUTS = [
     (
         ["verify", "theorem3", "--n", "3", "--k", "2"],
@@ -475,15 +477,6 @@ PINNED_OUTPUTS = [
     (
         ["search", "converse", "--n", "4", "--k", "3", "--samples", "2000", "--seed", "1"],
         "50e1afbb46e218bc8c7735ede7d1f70b1376058afc9bc6d06bda8860863604aa",
-    ),
-    (
-        ["verify", "theorem3", "--n", "3", "--k", "3"],
-        "6788fa850d270b6786c9400f6b5129393dffdc1b70489a9d5355521e70f1a6cb",
-    ),
-    (
-        # the limit stops the scan inside a letter tuple's final sets
-        ["search", "converse", "--n", "3", "--k", "3", "--limit", "100"],
-        "7c095cb80773c06b073f8e1a189cdd5fa0137545b1ad74e5a0cb283295b20054",
     ),
     (
         ["semigroup", "EX1", "--witnesses", "--format", "json"],
@@ -514,6 +507,15 @@ PINNED_OUTPUTS = [
     (
         ["intervals", "EX1", "--atom", "01", "--format", "json"],
         "8bdee8ebc4447962b140bdc7ad037b9ef72c9a83c10b0d6f53a5b622b1176a38",
+    ),
+    (
+        ["verify", "theorem3", "--n", "3", "--k", "3"],
+        "6788fa850d270b6786c9400f6b5129393dffdc1b70489a9d5355521e70f1a6cb",
+    ),
+    (
+        # the limit stops the scan inside a letter tuple's final sets
+        ["search", "converse", "--n", "3", "--k", "3", "--limit", "100"],
+        "7c095cb80773c06b073f8e1a189cdd5fa0137545b1ad74e5a0cb283295b20054",
     ),
 ]
 
