@@ -54,11 +54,9 @@ from .intervals import (
 from .search import (
     CampaignRecord,
     CampaignReport,
-    enumerate_dfas,
     example1,
     find_converse_counterexamples,
     random_dfa,
-    sample_full_semigroup_dfa,
     verify_prop1,
     verify_prop2,
     verify_theorem3,

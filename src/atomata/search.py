@@ -13,11 +13,13 @@ against each atom's determinized atomaton (``atoms_of``).
 
 Both campaigns run in two stages.  The letter stage holds the filters that
 depend on the letter tuple alone (full semigroup or not, reachability) and
-runs once per tuple.  Minimality comes next: an exhaustive scan decides it
-for all 2^n final sets of a tuple at once, from the pairs of states
-(``_minimal_finals``).  The final-set stage holds the filters that also
-depend on the final states (the atom count, every atom at its bound) and
-runs on each minimal DFA of a tuple that the letter stage let through.
+runs once per tuple.  Minimality comes next, with one kernel for every
+mode: the pair graph decides all 2^n final sets of a tuple at once
+(``_minimal_finals``), and a sampled draw reads its one final set off that
+mask.  The final-set stage holds the filters that also depend on the final
+states (the atom count, every atom at its bound) and runs on each minimal
+DFA of a tuple that the letter stage let through, on the preimage tables
+built once for the tuple.
 
 The converse then asks the letters whether a minimal DFA with them is
 maximally atomic, that is, has all 2^n atoms, each at its bound
@@ -45,7 +47,7 @@ from .atoms import _reachable_collections
 from .automata import Dfa, determinize, minimize, quotient_complexity, reverse
 from .bounds import max_atom_complexity
 from .document import serialize_dfa
-from .errors import AtomataError, EnumerationCapError
+from .errors import EnumerationCapError
 from .semigroup import _close, _generates_full_raw, _units, syntactic_complexity
 from .stateset import StateSet
 from .transformations import Transformation, identity, make_cycle, make_singular
@@ -59,6 +61,7 @@ MAX_ENUM_DFAS = 1 << 28
 # Entries kept by each of the engine's per-letter-tuple caches.  Exhaustive
 # campaigns repeat a letter tuple only across consecutive final-state sets,
 # so the bound costs them no hits; it keeps memory flat over long campaigns.
+# Both caches stay while the benchmark's tracer reads their cache_info().
 CACHE_MAXSIZE = 1 << 14
 
 
@@ -125,6 +128,8 @@ class CampaignReport:
     findings: list[CampaignRecord] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     timestamp: str = ""
+    # (scanned, tested, violations) at each finding of a run under a limit
+    marks: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -184,9 +189,7 @@ def witness_max_semigroup(n: int) -> Dfa:
     """An n-state DFA with syntactic complexity exactly n^n.
 
     Letters: a = (0,1), b = (0,1,...,n-1), c = (n-1 -> 0); degenerate
-    letters collapse to the identity at n = 1.  The construction is checked
-    before returning by the full-semigroup test, which closes the n!
-    permutations, so n > 10 raises ``ClosureCapError``.
+    letters collapse to the identity at n = 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -196,13 +199,7 @@ def witness_max_semigroup(n: int) -> Dfa:
         a = make_cycle(n, (0, 1))
         b = make_cycle(n, range(n))
         c = make_singular(n, n - 1, 0)
-    d = Dfa(n, ("a", "b", "c"), (a, b, c), 0, StateSet(n, [n - 1]))
-    sc = syntactic_complexity(d)
-    if sc != n**n:
-        raise AtomataError(
-            f"witness construction broke: syntactic complexity {sc} != {n ** n}"
-        )
-    return d
+    return Dfa(n, ("a", "b", "c"), (a, b, c), 0, StateSet(n, [n - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +226,6 @@ def all_maps(n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(n), repeat=n))
 
 
-def enumerate_dfas(n: int, k: int) -> Iterator[Dfa]:
-    """Every DFA with states {0..n-1}, k letters, initial 0, in lexicographic
-    order: letter transformations vary first (leftmost slowest), then the
-    final-state bitmask counts up."""
-    _check_enum_caps(n, k)
-    for combo in itertools.product(all_maps(n), repeat=k):
-        for fbits in range(2**n):
-            yield _make_dfa(n, k, combo, fbits)
-
-
 def _draw(rng: random.Random, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Uniform letter maps, then a uniform final-set bitmask, in that order."""
     maps = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
@@ -260,42 +247,11 @@ def _make_dfa(n: int, k: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> 
     )
 
 
-def sample_full_semigroup_dfa(n: int, rng: random.Random, *, k: int = 3) -> Dfa:
-    """A random minimal DFA whose transition semigroup is all of T_n.
-
-    Accept-reject: two random permutations plus a random singular map (plus
-    uniform extra letters beyond three); accepted once the letters generate
-    the full semigroup.
-    Finals are a uniform proper non-empty subset, which keeps the DFA
-    minimal.
-    """
-    if n >= 3 and k < 3:
-        raise ValueError(f"at least 3 letters are needed for a full semigroup at n={n}")
-    if n < 2:
-        return witness_max_semigroup(n)
-    while True:
-        maps = [
-            tuple(rng.sample(range(n), n)),
-            tuple(rng.sample(range(n), n)),
-        ]
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        sing = list(range(n))
-        sing[i] = j
-        maps.append(tuple(sing))
-        while len(maps) < k:
-            maps.append(tuple(rng.randrange(n) for _ in range(n)))
-        if not _generates_full_raw(maps[:k], n):
-            continue
-        return _make_dfa(n, k, maps[:k], rng.randrange(1, 2**n - 1))
-
-
 # ---------------------------------------------------------------------------
 # raw-tuple engine (hot loops; checked against independent oracles in tests)
 
 
+# a function of its own because the tracer's search.closure metric reads it
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def _closure_size(maps: tuple[tuple[int, ...], ...], n: int) -> int:
     """Size of the semigroup generated by the given map tuples."""
@@ -313,32 +269,6 @@ def _reachable_bits(n: int, maps: tuple[tuple[int, ...], ...]) -> int:
                 seen |= 1 << r
                 stack.append(r)
     return seen
-
-
-def _is_minimal_raw(n: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> bool:
-    """Whether the DFA's states are pairwise distinguishable (Moore's
-    refinement).  Its caller must know that every state is reachable from
-    0: the campaigns' full letter tuples reach every state, and the
-    converse letter stage checks reachability itself.
-
-    Sample mode decides minimality here.  A draw asks about one final set,
-    and Moore's work on it grows with n, where ``_minimal_finals`` decides
-    all 2^n final sets over the C(n, 2) pairs.  Per draw, on random
-    three-letter DFAs that reach every state (Python 3.11, one core), the
-    mask is ahead by a few microseconds at small n (8 against 13 at
-    n = 4) and behind from n = 7 (49 against 32 at n = 8).
-    """
-    cls = [fbits >> q & 1 for q in range(n)]
-    ncls = len(set(cls))
-    while True:
-        sigs: dict[tuple, int] = {}
-        new = [0] * n
-        for q in range(n):
-            key = (cls[q], *(cls[m[q]] for m in maps))
-            new[q] = sigs.setdefault(key, len(sigs))
-        if len(sigs) == ncls:
-            return ncls == n
-        cls, ncls = new, len(sigs)
 
 
 @lru_cache(maxsize=None)
@@ -359,7 +289,8 @@ def _pair_tables(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], 
 def _minimal_finals(n: int, maps: tuple[tuple[int, ...], ...]) -> int:
     """Mask over the 2^n final sets: bit F is set when the DFA with these
     letters and final-set bitmask F is minimal.  The caller must know that
-    every state is reachable from 0, as for ``_is_minimal_raw``.
+    every state is reachable from 0: the campaigns' full letter tuples
+    reach every state, and the converse letter stage checks reachability.
 
     The rule is the pair graph.  A final set F tells states p != q apart
     iff some pair {r, s} that a word takes {p, q} to has exactly one
@@ -391,7 +322,13 @@ def _minimal_finals(n: int, maps: tuple[tuple[int, ...], ...]) -> int:
     return mask
 
 
-def _pre_tables(n: int, maps: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+# sample mode's question, kept by name for the tracer's search.minimal metric
+def _is_minimal_raw(n: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> bool:
+    """Whether the DFA with final-set bitmask ``fbits`` is minimal."""
+    return bool(_minimal_finals(n, maps) >> fbits & 1)
+
+
+def _pre_tables(n: int, maps: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Per letter, the bitmask of the preimage of every subset T of states."""
     size = 1 << n
     tables = []
@@ -403,11 +340,11 @@ def _pre_tables(n: int, maps: tuple[tuple[int, ...], ...]) -> list[list[int]]:
             for t_bits in range(size):
                 if t_bits & target_bit:
                     pre[t_bits] |= qbit
-        tables.append(pre)
-    return tables
+        tables.append(tuple(pre))
+    return tuple(tables)
 
 
-def _reach_subsets(n: int, pres: list[list[int]], start_bits: int) -> int:
+def _reach_subsets(n: int, pres: tuple[tuple[int, ...], ...], start_bits: int) -> int:
     """How many subsets the determinized reversal reaches from the final set."""
     seen = {start_bits}
     stack = [start_bits]
@@ -421,7 +358,7 @@ def _reach_subsets(n: int, pres: list[list[int]], start_bits: int) -> int:
     return len(seen)
 
 
-def _eta_tables(n: int, pres: list[list[int]]) -> list[list[int]]:
+def _eta_tables(n: int, pres: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     """Per letter, the atomaton transition of each subset S as a collection
     mask over subsets T (bit T set iff the preimage of T is S).
 
@@ -437,13 +374,15 @@ def _eta_tables(n: int, pres: list[list[int]]) -> list[list[int]]:
     return tables
 
 
+# cached, and read by the tracer's search.atom_walk metric
 @lru_cache(maxsize=CACHE_MAXSIZE)
-def _atom_complexities(maps: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    """Quotient complexity of the atom labeled S, indexed by S's bitmask.
+def _atom_complexities(pres: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
+    """Quotient complexity of the atom labeled S, indexed by S's bitmask,
+    from the letters' preimage tables (``_pre_tables``).
 
     Only meaningful when all 2^n subsets are atoms.
     """
-    etas = _eta_tables(n, _pre_tables(n, maps))
+    etas = _eta_tables(n, pres)
     successors: dict[int, list[int]] = {}
     return tuple(
         len(_reachable_collections(etas, 1 << s_bits, successors)) for s_bits in range(1 << n)
@@ -482,24 +421,6 @@ def _maximally_atomic_raw(maps: tuple[tuple[int, ...], ...], n: int) -> bool:
     return all(len(orbit) == comb(n, k) for k, orbit in enumerate(orbits, 1))
 
 
-class _LetterState:
-    """What the final-set stage needs of one letter tuple, built on its
-    first use and kept for the tuple's other final sets."""
-
-    __slots__ = ("n", "maps", "_pres")
-
-    def __init__(self, n: int, maps: tuple[tuple[int, ...], ...]):
-        self.n = n
-        self.maps = maps
-        self._pres: Optional[list[list[int]]] = None
-
-    def pres(self) -> list[list[int]]:
-        """The letters' preimage tables (``_pre_tables``)."""
-        if self._pres is None:
-            self._pres = _pre_tables(self.n, self.maps)
-        return self._pres
-
-
 def _record_from_metrics(
     d: Dfa,
     *,
@@ -535,14 +456,16 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
 
     ``letters(maps)`` is the letter stage: False passes over the letter
     tuple.  Minimality is decided next, and ``rules_out(maps)``, when
-    given, can then rule the letter tuple out.  ``check(maps, state,
-    fbits)`` is the final-set stage, run with the tuple's ``_LetterState``
-    on each minimal DFA of a tuple that was not ruled out.  It returns
+    given, can then rule the letter tuple out.  ``check(maps, pres,
+    fbits)`` is the final-set stage, run on each minimal DFA of a tuple
+    that was not ruled out, with the tuple's preimage tables
+    (``_pre_tables``), built once just before its first visit.  It returns
     None, or ``(syntactic complexity, atom count, atom complexities by
     bitmask or (), all atoms maximal)`` for a DFA worth a record.  The
     record goes to ``report.findings`` when all its atoms are maximal, else
     to ``report.violations``.  The scan stops once ``params["limit"]``
-    findings exist.
+    findings exist, and under a limit it notes its counts at each finding
+    in ``report.marks``.
 
     ``report.scanned`` counts every DFA of the space, and
     ``report.tested`` every minimal one among those whose letter tuple
@@ -556,8 +479,8 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
     minimality of all its final sets at once (``_minimal_finals``).  It
     runs ``check`` on the minimal ones, counting up, and counts the others
     without a visit.  Sample mode draws the letter maps and then the final
-    set from ``params["seed"]``, and decides the minimality of that one
-    DFA (``_is_minimal_raw``).
+    set from ``params["seed"]``, and reads that one final set off the same
+    mask (``_is_minimal_raw``).
     """
     params = report.params
     n, k = params["n"], params["k"]
@@ -565,9 +488,9 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
     seed = params.get("seed")  # present in sample mode only
     labels = [StateSet.from_bits(n, b).label() for b in range(1 << n)]
 
-    def visit(maps: tuple[tuple[int, ...], ...], state, fbits: int) -> bool:
+    def visit(maps: tuple[tuple[int, ...], ...], pres, fbits: int) -> bool:
         """Check one minimal DFA; True when the record limit is reached."""
-        found = check(maps, state, fbits)
+        found = check(maps, pres, fbits)
         if found is None:
             return False
         sc, atoms, comps, is_max = found
@@ -584,7 +507,10 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
                 seed=seed,
             )
         )
-        return is_max and limit is not None and len(records) >= limit
+        if not is_max or limit is None:
+            return False
+        report.marks.append((report.scanned, report.tested, len(report.violations)))
+        return len(records) >= limit
 
     if report.mode == "exhaustive":
         _check_enum_caps(n, k)
@@ -600,11 +526,11 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
                     report.scanned += size
                     continue
                 minimal = _minimal_finals(n, maps)
-                if rules_out is not None and rules_out(maps):
+                if not minimal or rules_out is not None and rules_out(maps):
                     report.scanned += size
                     report.tested += minimal.bit_count()
                     continue
-                state = _LetterState(n, maps)
+                pres = _pre_tables(n, maps)
                 counted = 0  # final sets of this tuple in ``scanned`` so far
                 while minimal:
                     low = minimal & -minimal
@@ -612,7 +538,7 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
                     report.scanned += low.bit_length() - counted
                     counted = low.bit_length()
                     report.tested += 1
-                    if visit(maps, state, counted - 1):
+                    if visit(maps, pres, counted - 1):
                         return
                 report.scanned += size - counted
     elif report.mode == "sample":
@@ -625,7 +551,7 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
             report.tested += 1
             if rules_out is not None and rules_out(maps):
                 continue
-            if visit(maps, _LetterState(n, maps), fbits):
+            if visit(maps, _pre_tables(n, maps), fbits):
                 return
     else:
         raise ValueError(f"unknown mode {report.mode!r}")
@@ -657,9 +583,9 @@ def verify_theorem3(
     report = CampaignReport(campaign, mode, params, timestamp=_now(timestamp))
     bounds = _atom_bounds(n)
 
-    def check(maps: tuple[tuple[int, ...], ...], state: _LetterState, fbits: int):
-        atoms = _reach_subsets(n, state.pres(), fbits)
-        comps = _atom_complexities(maps, n)
+    def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
+        atoms = _reach_subsets(n, pres, fbits)
+        comps = _atom_complexities(pres, n)
         if atoms == 1 << n and comps == bounds:
             return None
         return n**n, atoms, comps, False
@@ -703,9 +629,9 @@ def find_converse_counterexamples(
     def letters(maps: tuple[tuple[int, ...], ...]) -> bool:
         return _reachable_bits(n, maps) == (1 << n) - 1 and not _generates_full_raw(maps, n)
 
-    def check(maps: tuple[tuple[int, ...], ...], state: _LetterState, fbits: int):
-        atoms = _reach_subsets(n, state.pres(), fbits)
-        comps = _atom_complexities(maps, n) if atoms == 1 << n else ()
+    def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
+        atoms = _reach_subsets(n, pres, fbits)
+        comps = _atom_complexities(pres, n) if atoms == 1 << n else ()
         return _closure_size(maps, n), atoms, comps, comps == bounds
 
     _scan(report, letters, check, rules_out=lambda maps: not _maximally_atomic_raw(maps, n))
@@ -732,9 +658,9 @@ def run_sharded(
     a contiguous block of the first letter's transformation indices.
 
     Shards join in shard order, which is the order of a single-process
-    run, and findings are cut to ``limit``, so the records equal that
-    run's.  When the limit cuts the merge, ``scanned`` and ``tested``
-    report the work the shards did, which can exceed the single run's.
+    run.  Each shard's ``marks`` join too, the earlier shards' totals added
+    to them.  Under ``limit``, the merge is cut back to the mark of the
+    finding that reaches it, so its records and counts equal that run's.
     The pool starts at most one process per CPU, whatever ``workers`` is;
     ``workers`` only sets the number of shards.
     """
@@ -752,13 +678,16 @@ def run_sharded(
         parts = [f.result() for f in futures]
     merged = parts[0]
     for part in parts[1:]:
+        s, t, v = merged.scanned, merged.tested, len(merged.violations)
+        merged.marks += [(s + ps, t + pt, v + pv) for ps, pt, pv in part.marks]
         merged.scanned += part.scanned
         merged.tested += part.tested
         merged.violations.extend(part.violations)
         merged.findings.extend(part.findings)
     limit = kwargs.get("limit")
-    if limit is not None:
-        del merged.findings[limit:]
+    if limit is not None and len(merged.findings) >= limit:
+        merged.scanned, merged.tested, seen = merged.marks[limit - 1]
+        del merged.findings[limit:], merged.violations[seen:]
     if "syntactic_complexities" in merged.extra:
         merged.extra["syntactic_complexities"] = _complexity_histogram(merged.findings)
     merged.params["num_shards"] = workers
@@ -806,7 +735,7 @@ def verify_prop1(
         )
     if mode == "exhaustive":
 
-        def check(maps: tuple[tuple[int, ...], ...], _state, fbits: int):
+        def check(maps: tuple[tuple[int, ...], ...], _pres, fbits: int):
             rev_qc = reverse_complexity(_make_dfa(n, k, maps, fbits))
             return None if rev_qc == 1 << n else (n**n, rev_qc, (), False)
 

@@ -4,7 +4,14 @@ import random
 import pytest
 
 from atomata import Dfa, StateSet, Transformation
-from atomata.search import example1, random_dfa
+from atomata.search import (
+    _check_enum_caps,
+    _make_dfa,
+    all_maps,
+    example1,
+    random_dfa,
+    witness_max_semigroup,
+)
 from atomata.errors import ClosureCapError
 from atomata.semigroup import MAX_CLOSURE, _close, _generates_full_raw
 
@@ -43,6 +50,43 @@ def random_dfas(seed, count, max_n=4, max_k=3):
         n = rng.randint(1, max_n)
         k = rng.randint(1, max_k)
         yield random_dfa(rng, n, k)
+
+
+def enumerate_dfas(n, k):
+    """Every DFA with states {0..n-1}, k letters, initial 0, in lexicographic
+    order: letter transformations vary first (leftmost slowest), then the
+    final-state bitmask counts up.  Refused past the campaigns' cap."""
+    _check_enum_caps(n, k)
+    for combo in itertools.product(all_maps(n), repeat=k):
+        for fbits in range(2**n):
+            yield _make_dfa(n, k, combo, fbits)
+
+
+def sample_full_semigroup_dfa(n, rng, *, k=3):
+    """A random minimal DFA whose transition semigroup is all of T_n.
+
+    Accept-reject: two random permutations plus a random singular map (plus
+    uniform extra letters beyond three); accepted once the letters generate
+    the full semigroup.  Finals are a uniform proper non-empty subset,
+    which keeps the DFA minimal.
+    """
+    if n >= 3 and k < 3:
+        raise ValueError(f"at least 3 letters are needed for a full semigroup at n={n}")
+    if n < 2:
+        return witness_max_semigroup(n)
+    while True:
+        maps = [tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))]
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        sing = list(range(n))
+        sing[i] = j
+        maps.append(tuple(sing))
+        while len(maps) < k:
+            maps.append(tuple(rng.randrange(n) for _ in range(n)))
+        if _generates_full_raw(maps[:k], n):
+            return _make_dfa(n, k, maps[:k], rng.randrange(1, 2**n - 1))
 
 
 def full_semigroup_transition_tuples(n, k):

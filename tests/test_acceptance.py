@@ -30,14 +30,13 @@ from atomata.cli import parse_dfa
 from atomata.search import (
     example1,
     find_converse_counterexamples,
-    sample_full_semigroup_dfa,
     verify_prop1,
     verify_prop2,
     verify_theorem3,
     witness_max_semigroup,
 )
 from atomata.transformations import all_transformations, compose, decompose_singular_perm
-from conftest import full_semigroup_transition_tuples, make_dfa
+from conftest import full_semigroup_transition_tuples, make_dfa, sample_full_semigroup_dfa
 
 
 @contextmanager

@@ -16,6 +16,7 @@ from atomata import Dfa, StateSet
 from atomata.cli import main, parse_dfa, serialize_dfa
 from atomata.errors import DfaParseError
 from atomata.search import example1, find_converse_counterexamples
+from atomata.transformations import MAX_DEGREE
 from conftest import make_dfa
 
 
@@ -335,11 +336,11 @@ def test_closure_bound_on_the_command_line(capsys, tmp_path, closure_bound):
     assert code == 1
     assert out == ""
     assert "387420489" in err and "16777216" in err
-    # 11! permutations: refused before the full-semigroup test closes any
-    code, out, err = _run(capsys, ["witness", "max-semigroup", "--n", "11"])
+    # the witness closes nothing; its constructors refuse degrees past MAX_DEGREE
+    code, out, err = _run(capsys, ["witness", "max-semigroup", "--n", str(MAX_DEGREE + 1)])
     assert code == 1
     assert out == ""
-    assert "39916800" in err
+    assert f"degree {MAX_DEGREE + 1} exceeds cap {MAX_DEGREE}" in err
 
 
 @pytest.mark.parametrize(
@@ -457,10 +458,12 @@ def test_cli_module_runs_without_runpy_warning():
 # into one kernel each, prop2 before the campaigns' two-stage scan, and
 # prop1 n = 1 before prop1 ran through that scan.  The prop1 n = 3 digest
 # was recorded again when its `scanned` came to count every DFA of the
-# space, the only change in that output.  The last two were recorded before
-# exhaustive campaigns decided minimality once per letter tuple.  New pins go
-# at the end, so the cases already listed keep their test ids.  "EX1" stands
-# for a file holding the example1 document.
+# space, the only change in that output.  Theorem 3 at n = 3, k = 3 and the
+# converse under a limit were recorded before exhaustive campaigns decided
+# minimality once per letter tuple, and the last two, sampled converses at
+# n = 5 and 6, before sample mode read minimality off that tuple's mask.
+# New pins go at the end, so the cases already listed keep their test ids.
+# "EX1" stands for a file holding the example1 document.
 PINNED_OUTPUTS = [
     (
         ["verify", "theorem3", "--n", "3", "--k", "2"],
@@ -517,6 +520,16 @@ PINNED_OUTPUTS = [
         ["search", "converse", "--n", "3", "--k", "3", "--limit", "100"],
         "7c095cb80773c06b073f8e1a189cdd5fa0137545b1ad74e5a0cb283295b20054",
     ),
+    (
+        # 2 findings, tested 1831
+        ["search", "converse", "--n", "5", "--k", "3", "--samples", "3000", "--seed", "2"],
+        "9850fd9f3050b1e8f84f147066df3e5f2e613275b8a9e939755adba1053fc269",
+    ),
+    (
+        # 1 finding
+        ["search", "converse", "--n", "6", "--k", "3", "--samples", "2000", "--seed", "2"],
+        "b5521a434b90f6387410dcc89984a753a43418300506209ada9aa03d9e9004fd",
+    ),
 ]
 
 
@@ -543,12 +556,9 @@ def test_converse_on_two_workers_matches_one(capsys, limit):
     (*records, summary), (*sharded_records, sharded_summary) = outputs
     assert sharded_records == records
     summary, sharded_summary = json.loads(summary), json.loads(sharded_summary)
-    # the summary names the shards, and under a limit it counts the work
-    # every shard did before it stopped (search.run_sharded)
+    # the summary names the shards; under a limit too, it counts what the
+    # one-process run counts (search.run_sharded)
     assert sharded_summary.pop("params") == dict(
         summary.pop("params"), shard="merged", num_shards=2
     )
-    if limit:
-        for key in ("scanned", "tested"):
-            assert sharded_summary.pop(key) > summary.pop(key)
     assert sharded_summary == summary

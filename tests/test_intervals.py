@@ -19,8 +19,8 @@ from atomata import (
 )
 from atomata.errors import FullSemigroupError
 from atomata.intervals import _check_interval_preimages
-from atomata.search import sample_full_semigroup_dfa, witness_max_semigroup
-from conftest import make_dfa
+from atomata.search import witness_max_semigroup
+from conftest import make_dfa, sample_full_semigroup_dfa
 
 
 def _s(n, members):

@@ -10,6 +10,7 @@ from atomata import (
     atom_count,
     atoms_of,
     build_atomaton,
+    generates_full,
     is_minimal,
     minimize,
     syntactic_complexity,
@@ -20,12 +21,10 @@ from atomata.errors import EnumerationCapError
 from atomata.search import (
     MAX_ENUM_DFAS,
     CampaignRecord,
-    enumerate_dfas,
     example1,
     find_converse_counterexamples,
     random_dfa,
     run_sharded,
-    sample_full_semigroup_dfa,
     verify_prop1,
     verify_prop2,
     verify_theorem3,
@@ -45,7 +44,13 @@ from atomata.search import (
     _reachable_bits,
 )
 from atomata.semigroup import _generates_full_raw
-from conftest import full_semigroup_transition_tuples, make_dfa, worklist_closure
+from conftest import (
+    enumerate_dfas,
+    full_semigroup_transition_tuples,
+    make_dfa,
+    sample_full_semigroup_dfa,
+    worklist_closure,
+)
 
 
 # --- enumeration -------------------------------------------------------------
@@ -97,7 +102,7 @@ def test_engine_minimality_matches_public():
 
 def _minimal_finals_by_minimize(n, k, maps):
     """The mask ``_minimal_finals`` should give, one ``minimize`` per final
-    set: it shares no code with the pair graph or ``_is_minimal_raw``."""
+    set: it shares no code with the pair graph."""
     d = _make_dfa(n, k, maps, 0)
     return sum(
         (minimize(dataclasses.replace(d, finals=StateSet.from_bits(n, f))).n == n) << f
@@ -122,13 +127,16 @@ def test_minimal_finals_match_minimize(n, k, minimal):
     assert total == minimal
 
 
-def test_minimal_finals_match_minimize_n4k3_sample():
+@pytest.mark.parametrize("n, count", [(4, 1500), (5, 200), (6, 40)])
+def test_minimal_finals_match_minimize_k3_sample(n, count):
+    """Seeded reachable three-letter tuples, on all their final sets: the
+    sizes where sample mode asks the mask about one final set per draw."""
     rng = random.Random(11)
     tuples = 0
-    while tuples < 1500:
-        maps = tuple(tuple(rng.randrange(4) for _ in range(4)) for _ in range(3))
-        if _reachable_bits(4, maps) == 15:
-            assert _minimal_finals(4, maps) == _minimal_finals_by_minimize(4, 3, maps), maps
+    while tuples < count:
+        maps = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(3))
+        if _reachable_bits(n, maps) == (1 << n) - 1:
+            assert _minimal_finals(n, maps) == _minimal_finals_by_minimize(n, 3, maps), maps
             tuples += 1
 
 
@@ -159,7 +167,7 @@ def test_engine_atom_complexities_match_public():
     for n in (3, 4):
         d = sample_full_semigroup_dfa(n, rng)
         maps = tuple(t.map for t in d.deltas)
-        comps = _atom_complexities(maps, n)
+        comps = _atom_complexities(_pre_tables(n, maps), n)
         for rep in atoms_of(d):
             assert comps[rep.label.bits] == rep.complexity
 
@@ -196,6 +204,16 @@ def test_witness_max_semigroup_values():
     assert max(rep.complexity for rep in reports) == 43
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_witness_max_semigroup_is_full(n):
+    """The construction is classical: a transposition and an n-cycle
+    generate S_n, and a rank n-1 map adds the rest of T_n.  At n = 10 the
+    test would close 10! permutations."""
+    w = witness_max_semigroup(n)
+    assert generates_full(w.deltas, n)
+    assert syntactic_complexity(w) == n**n
+
+
 def test_example1_fixture(ex1):
     assert example1() == ex1
     assert syntactic_complexity(ex1) == 27
@@ -224,7 +242,7 @@ def test_theorem3_n2_hand_checkable():
     # letters (0,1) and (Q->0) generate all 4 transformations of 2 states
     maps = ((1, 0), (0, 0))
     assert _closure_size(maps, 2) == 4
-    comps = _atom_complexities(maps, 2)
+    comps = _atom_complexities(_pre_tables(2, maps), 2)
     assert comps == (3, 3, 3, 3)  # bounds: 2^2-1=3 at r in {0,2}, f(2,1)=3
 
 
@@ -316,7 +334,7 @@ def _assert_record_roundtrips(rec: CampaignRecord):
 
 
 def test_prop1_witness_mode():
-    # n = 9 needs the full-semigroup test of a degree-9 witness (9! permutations)
+    # n = 9: the reversal of the witness has 2^9 quotients
     for n in (2, 3, 4, 9):
         rep = verify_prop1(n, timestamp="fixed")
         assert rep.violations == []
@@ -396,6 +414,12 @@ def test_run_sharded_matches_single_run_order():
     assert merged.extra == single.extra
 
 
+def _summary_without_params(report):
+    summary = report.summary_dict()
+    del summary["params"]
+    return summary
+
+
 def test_run_sharded_honours_limit():
     single = find_converse_counterexamples(3, 3, limit=5, timestamp="fixed")
     merged = run_sharded(
@@ -403,18 +427,18 @@ def test_run_sharded_honours_limit():
     )
     assert len(merged.findings) == 5
     assert merged.findings == single.findings
-    assert merged.extra == single.extra
+    assert _summary_without_params(merged) == _summary_without_params(single)
 
 
-def test_run_sharded_starts_one_process_per_cpu(monkeypatch):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Runs ``run_sharded``'s shards in process, one after another; the
+    list it returns records the pool size each run asked for."""
     import concurrent.futures
-    import os
 
     pool_sizes = []
 
     class InlinePool:
-        """Records the pool size and runs each submission at once, in process."""
-
         def __init__(self, max_workers):
             pool_sizes.append(max_workers)
 
@@ -430,10 +454,35 @@ def test_run_sharded_starts_one_process_per_cpu(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return pool_sizes
+
+
+@pytest.mark.parametrize("workers, limit", [(2, 5), (3, 100), (3, 400), (5, 432), (3, 1000)])
+def test_run_sharded_under_a_limit_matches_single_run(inline_pool, monkeypatch, workers, limit):
+    """Records and counts equal the one-process run's wherever the limit
+    falls, violations included: with the letter test admitting every
+    tuple, the walk refutes most of the 2056 minimal DFAs, 432 of them
+    findings, and records each refuted one as a violation."""
+    import atomata.search as search
+
+    monkeypatch.setattr(search, "_maximally_atomic_raw", lambda maps, n: True)
+    single = find_converse_counterexamples(3, 2, limit=limit, timestamp="fixed")
+    merged = run_sharded(
+        find_converse_counterexamples, 3, 2, workers=workers, limit=limit, timestamp="fixed"
+    )
+    assert single.violations
+    assert merged.findings == single.findings
+    assert merged.violations == single.violations
+    assert _summary_without_params(merged) == _summary_without_params(single)
+
+
+def test_run_sharded_starts_one_process_per_cpu(inline_pool, monkeypatch):
+    import os
+
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     merged = run_sharded(find_converse_counterexamples, 3, 2, workers=8, timestamp="fixed")
     single = find_converse_counterexamples(3, 2, timestamp="fixed")
-    assert pool_sizes == [2]
+    assert inline_pool == [2]
     assert merged.findings == single.findings
     assert merged.params["num_shards"] == 8
 
@@ -455,14 +504,16 @@ def test_letter_filters_run_once_per_letter_tuple(monkeypatch):
     names = ("_generates_full_raw", "_pre_tables", "_minimal_finals", "_is_minimal_raw")
     for name in names:
         monkeypatch.setattr(search, name, counted(name))
-    tuples = 27**2
-    for campaign in (verify_theorem3, find_converse_counterexamples):
+    # theorem3 visits the 972 full triples, the converse 72 maximally atomic
+    # pairs, each with 6 minimal final sets (432 findings)
+    for campaign, k, visited in ((verify_theorem3, 3, 972), (find_converse_counterexamples, 2, 72)):
+        tuples = 27**k
         _atom_complexities.cache_clear()
         calls.update(dict.fromkeys(names, 0))
-        campaign(3, 2, timestamp="fixed")
+        campaign(3, k, timestamp="fixed")
         assert 0 < calls["_generates_full_raw"] <= tuples
-        # one for the atom counts of a tuple, one in its cached atom walk
-        assert calls["_pre_tables"] <= 2 * tuples
+        # built once per visited tuple, for its atom counts and atom walk together
+        assert calls["_pre_tables"] == visited
         # every final set's minimality at once; sampling alone asks one at a time
         assert calls["_minimal_finals"] <= tuples and calls["_is_minimal_raw"] == 0
 
@@ -482,20 +533,20 @@ def _converse_tuples(n, k):
             yield maps
 
 
-def _walk_is_maximally_atomic(n, maps, pres, fbits):
-    return _reach_subsets(n, pres, fbits) == 1 << n and _atom_complexities(maps, n) == _atom_bounds(n)
+def _walk_is_maximally_atomic(n, pres, fbits):
+    return _reach_subsets(n, pres, fbits) == 1 << n and _atom_complexities(pres, n) == _atom_bounds(n)
 
 
-def _check_final_sets(n, maps, final_sets):
+def _check_final_sets(n, maps):
     """Compare the letter verdict with the walk on each minimal final set;
     return (minimal DFAs compared, of them maximally atomic)."""
     verdict = _maximally_atomic_raw(maps, n)
     pres = _pre_tables(n, maps)
-    compared = 0
-    for fbits in final_sets:
-        if _is_minimal_raw(n, maps, fbits):
-            assert _walk_is_maximally_atomic(n, maps, pres, fbits) == verdict, (maps, fbits)
-            compared += 1
+    minimal = _minimal_finals(n, maps)
+    for fbits in range(1 << n):
+        if minimal >> fbits & 1:
+            assert _walk_is_maximally_atomic(n, pres, fbits) == verdict, (maps, fbits)
+    compared = minimal.bit_count()
     return compared, compared if verdict else 0
 
 
@@ -505,7 +556,7 @@ def test_maximally_atomic_matches_atom_walk_n3(k, tested, findings):
     converse campaign's ``tested`` and findings."""
     totals = [0, 0]
     for maps in _converse_tuples(3, k):
-        for i, count in enumerate(_check_final_sets(3, maps, range(8))):
+        for i, count in enumerate(_check_final_sets(3, maps)):
             totals[i] += count
     assert totals == [tested, findings]
 
@@ -516,16 +567,17 @@ def test_maximally_atomic_matches_atom_walk_n4k2():
     at most 4 elements, fewer than the C(4, 2) = 6 two-subsets."""
     pairs = walked = 0
     for i, maps in enumerate(_converse_tuples(4, 2)):
-        first = next((f for f in range(16) if _is_minimal_raw(4, maps, f)), None)
-        if first is None:
+        minimal = _minimal_finals(4, maps)
+        if not minimal:
             continue
+        first = (minimal & -minimal).bit_length() - 1
         pairs += 1
         assert not _maximally_atomic_raw(maps, 4)
         pres = _pre_tables(4, maps)
         walked += _reach_subsets(4, pres, first) == 16
-        assert not _walk_is_maximally_atomic(4, maps, pres, first), maps
+        assert not _walk_is_maximally_atomic(4, pres, first), maps
         if i % 40 == 0:
-            _check_final_sets(4, maps, range(16))
+            _check_final_sets(4, maps)
     assert pairs == 31290
     assert walked > 0  # some pairs reach all 16 atoms, and the walk refutes them
 
@@ -536,7 +588,7 @@ def test_maximally_atomic_matches_atom_walk_n4k3_sample():
     for _ in range(1000):
         maps = tuple(tuple(rng.randrange(4) for _ in range(4)) for _ in range(3))
         if _reachable_bits(4, maps) == 15 and not _generates_full_raw(maps, 4):
-            for i, count in enumerate(_check_final_sets(4, maps, range(16))):
+            for i, count in enumerate(_check_final_sets(4, maps)):
                 totals[i] += count
     assert totals[0] > 5000 and totals[1] > 0
 
