@@ -16,6 +16,7 @@ from .errors import AtomataError
 from .intervals import interval_reach_report
 from .semigroup import transition_semigroup
 from .stateset import parse_subset_label
+from .transformations import Transformation
 
 
 def _read_document(path: str) -> str:
@@ -104,26 +105,29 @@ def cmd_semigroup(args) -> int:
     dm = minimize(d)
     sg = transition_semigroup(dm, witnesses=args.witnesses)
     data = replace(sg.summary(), minimized_input=dm.n != d.n).to_dict()
-    if args.witnesses:
-        data["witnesses"] = [
-            {
-                "transformation": str(w.transformation),
-                "map": list(w.transformation.map),
-                "word": w.word,
-            }
-            for w in sg.word_witnesses()
-        ]
-
-    def render(data):
-        print(f"n: {data['n']}  (input minimized: {'yes' if data['minimized_input'] else 'no'})")
-        print(f"size: {data['size']}  full: {'yes' if data['is_full'] else 'no'}")
-        print(f"generators: {data['generator_count']}")
-        hist = "  ".join(f"rank {r}: {c}" for r, c in data["rank_histogram"].items())
-        print(f"rank histogram: {hist}")
-        for w in data.get("witnesses", []):
-            print(f"  {w['word']:<10} -> {w['transformation']}")
-
-    _emit(data, args, render)
+    # witness rows are printed one element at a time: at n = 8 the rows of
+    # all 8^8 elements would not fit in memory together
+    rows = zip(sg.maps, sg.words) if args.witnesses else ()
+    if args.format == "json":
+        text = json.dumps(data, indent=2, sort_keys=True)
+        if not args.witnesses:
+            print(text)
+            return 0
+        # "witnesses" sorts after every summary key: drop the closing "\n}"
+        sep = text[:-2] + ',\n  "witnesses": [\n    '
+        for m, word in rows:
+            row = {"map": list(m), "transformation": str(Transformation(m)), "word": word}
+            print(sep + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    "), end="")
+            sep = ",\n    "
+        print("\n  ]\n}")
+        return 0
+    print(f"n: {data['n']}  (input minimized: {'yes' if data['minimized_input'] else 'no'})")
+    print(f"size: {data['size']}  full: {'yes' if data['is_full'] else 'no'}")
+    print(f"generators: {data['generator_count']}")
+    hist = "  ".join(f"rank {r}: {c}" for r, c in data["rank_histogram"].items())
+    print(f"rank histogram: {hist}")
+    for m, word in rows:
+        print(f"  {word:<10} -> {Transformation(m)}")
     return 0
 
 

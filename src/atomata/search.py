@@ -43,8 +43,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional
 
-from .atoms import _reachable_collections
-from .automata import Dfa, determinize, minimize, quotient_complexity, reverse
+from .atoms import _reachable_collections, atom_count
+from .automata import Dfa, determinize, quotient_complexity, reverse
 from .bounds import max_atom_complexity
 from .document import serialize_dfa
 from .errors import EnumerationCapError
@@ -421,29 +421,45 @@ def _maximally_atomic_raw(maps: tuple[tuple[int, ...], ...], n: int) -> bool:
     return all(len(orbit) == comb(n, k) for k, orbit in enumerate(orbits, 1))
 
 
-def _record_from_metrics(
-    d: Dfa,
-    *,
-    sc: int,
-    atom_count: int,
-    complexities: dict[str, int],
-    is_max: bool,
-    campaign: str,
-    timestamp: str,
-    seed: Optional[int],
-) -> CampaignRecord:
+@lru_cache(maxsize=None)
+def _atom_labels(n: int) -> tuple[str, ...]:
+    """Label of the atom of each subset, indexed by the subset's bitmask."""
+    return tuple(StateSet.from_bits(n, b).label() for b in range(1 << n))
+
+
+# one call per record, read by the tracer's search.records metric
+def _record_from_metrics(report: CampaignReport, d: Dfa, found: tuple) -> CampaignRecord:
+    sc, atoms, comps, is_max = found
     return CampaignRecord(
         dfa=serialize_dfa(d),
         n=d.n,
         alphabet_size=len(d.alphabet),
         syntactic_complexity=sc,
-        atom_count=atom_count,
-        atom_complexities=tuple(sorted(complexities.items())),
+        atom_count=atoms,
+        atom_complexities=tuple(sorted(zip(_atom_labels(d.n), comps))),
         is_maximal_atoms=is_max,
-        timestamp=timestamp,
-        campaign=campaign,
-        seed=seed,
+        timestamp=report.timestamp,
+        campaign=report.campaign,
+        seed=report.params.get("seed"),
     )
+
+
+def _file_record(report: CampaignReport, d: Dfa, found: tuple) -> bool:
+    """File the record of a checked DFA; True once the record limit is reached.
+
+    ``found`` is ``(syntactic complexity, atom count, atom complexities by
+    bitmask or (), all atoms maximal)``.  The record goes to
+    ``report.findings`` when all its atoms are maximal, else to
+    ``report.violations``.  Under ``params["limit"]`` each finding notes
+    ``(scanned, tested, violations)`` in ``report.marks``.
+    """
+    records = report.findings if found[3] else report.violations
+    records.append(_record_from_metrics(report, d, found))
+    limit = report.params.get("limit")
+    if not found[3] or limit is None:
+        return False
+    report.marks.append((report.scanned, report.tested, len(report.violations)))
+    return len(records) >= limit
 
 
 def _atom_bounds(n: int) -> tuple[int, ...]:
@@ -460,12 +476,9 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
     fbits)`` is the final-set stage, run on each minimal DFA of a tuple
     that was not ruled out, with the tuple's preimage tables
     (``_pre_tables``), built once just before its first visit.  It returns
-    None, or ``(syntactic complexity, atom count, atom complexities by
-    bitmask or (), all atoms maximal)`` for a DFA worth a record.  The
-    record goes to ``report.findings`` when all its atoms are maximal, else
-    to ``report.violations``.  The scan stops once ``params["limit"]``
-    findings exist, and under a limit it notes its counts at each finding
-    in ``report.marks``.
+    None, or the metrics of a DFA worth a record, which ``_file_record``
+    files as every campaign's records are filed.  The scan stops once
+    ``params["limit"]`` findings exist.
 
     ``report.scanned`` counts every DFA of the space, and
     ``report.tested`` every minimal one among those whose letter tuple
@@ -477,40 +490,20 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
     indices in lexicographic order (the whole space without
     ``params["shard"]``), runs ``letters`` once per tuple, and decides the
     minimality of all its final sets at once (``_minimal_finals``).  It
-    runs ``check`` on the minimal ones, counting up, and counts the others
-    without a visit.  Sample mode draws the letter maps and then the final
-    set from ``params["seed"]``, and reads that one final set off the same
-    mask (``_is_minimal_raw``).
+    runs ``check`` on the minimal ones in bitmask order and counts the
+    others without a visit.  ``scanned`` is set from the scan position:
+    before a visit it counts the tuple's final sets up to the visited one,
+    after the tuple all 2^n of them.  Sample mode draws the letter maps
+    and then the final set from ``params["seed"]``, and reads that one
+    final set off the same mask (``_is_minimal_raw``).
     """
     params = report.params
     n, k = params["n"], params["k"]
-    limit = params.get("limit")
-    seed = params.get("seed")  # present in sample mode only
-    labels = [StateSet.from_bits(n, b).label() for b in range(1 << n)]
 
     def visit(maps: tuple[tuple[int, ...], ...], pres, fbits: int) -> bool:
         """Check one minimal DFA; True when the record limit is reached."""
         found = check(maps, pres, fbits)
-        if found is None:
-            return False
-        sc, atoms, comps, is_max = found
-        records = report.findings if is_max else report.violations
-        records.append(
-            _record_from_metrics(
-                _make_dfa(n, k, maps, fbits),
-                sc=sc,
-                atom_count=atoms,
-                complexities=dict(zip(labels, comps)),
-                is_max=is_max,
-                campaign=report.campaign,
-                timestamp=report.timestamp,
-                seed=seed,
-            )
-        )
-        if not is_max or limit is None:
-            return False
-        report.marks.append((report.scanned, report.tested, len(report.violations)))
-        return len(records) >= limit
+        return found is not None and _file_record(report, _make_dfa(n, k, maps, fbits), found)
 
     if report.mode == "exhaustive":
         _check_enum_caps(n, k)
@@ -522,27 +515,23 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
                 continue
             for rest in itertools.product(maps_list, repeat=k - 1):
                 maps = (first, *rest)
-                if not letters(maps):
-                    report.scanned += size
-                    continue
-                minimal = _minimal_finals(n, maps)
-                if not minimal or rules_out is not None and rules_out(maps):
-                    report.scanned += size
+                base = report.scanned
+                minimal = _minimal_finals(n, maps) if letters(maps) else 0
+                if minimal and rules_out is not None and rules_out(maps):
                     report.tested += minimal.bit_count()
-                    continue
-                pres = _pre_tables(n, maps)
-                counted = 0  # final sets of this tuple in ``scanned`` so far
-                while minimal:
-                    low = minimal & -minimal
-                    minimal ^= low
-                    report.scanned += low.bit_length() - counted
-                    counted = low.bit_length()
-                    report.tested += 1
-                    if visit(maps, pres, counted - 1):
-                        return
-                report.scanned += size - counted
+                elif minimal:
+                    pres = _pre_tables(n, maps)
+                    while minimal:
+                        low = minimal & -minimal
+                        minimal ^= low
+                        fbits = low.bit_length() - 1
+                        report.scanned = base + fbits + 1
+                        report.tested += 1
+                        if visit(maps, pres, fbits):
+                            return
+                report.scanned = base + size
     elif report.mode == "sample":
-        rng = random.Random(seed)
+        rng = random.Random(params["seed"])
         for _ in range(params["samples"]):
             maps, fbits = _draw(rng, n, k)
             report.scanned += 1
@@ -710,8 +699,7 @@ def verify_prop1(
     expected."""
     if mode not in ("witness", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
-    campaign = f"prop1-n{n}-{mode}"
-    report = CampaignReport(campaign, mode, {"n": n, "k": k}, timestamp=_now(timestamp))
+    report = CampaignReport(f"prop1-n{n}-{mode}", mode, {"n": n, "k": k}, timestamp=_now(timestamp))
 
     def reverse_complexity(d: Dfa) -> int:
         return quotient_complexity(determinize(reverse(d)))
@@ -721,18 +709,7 @@ def verify_prop1(
     report.tested += 1
     rev_qc = reverse_complexity(w)
     if rev_qc != 1 << n:
-        report.violations.append(
-            _record_from_metrics(
-                w,
-                sc=n**n,
-                atom_count=rev_qc,
-                complexities={},
-                is_max=False,
-                campaign=campaign,
-                timestamp=report.timestamp,
-                seed=None,
-            )
-        )
+        _file_record(report, w, (n**n, rev_qc, (), False))
     if mode == "exhaustive":
 
         def check(maps: tuple[tuple[int, ...], ...], _pres, fbits: int):
@@ -754,7 +731,6 @@ def verify_prop2(
     """Atom count must equal the quotient complexity of the reverse, for
     random DFAs.  The two sides go through different pipelines (minimize
     before reversing vs. after), so the comparison is informative."""
-    ts = _now(timestamp)
     campaign = f"prop2-samples{samples}-seed{seed}"
     params = {
         "samples": samples,
@@ -762,7 +738,7 @@ def verify_prop2(
         "max_n": max_state_count,
         "max_k": max_alphabet,
     }
-    report = CampaignReport(campaign, "sample", params, timestamp=ts)
+    report = CampaignReport(campaign, "sample", params, timestamp=_now(timestamp))
     rng = random.Random(seed)
     for _ in range(samples):
         n = rng.randint(1, max_state_count)
@@ -770,19 +746,8 @@ def verify_prop2(
         d = random_dfa(rng, n, k)
         report.scanned += 1
         report.tested += 1
-        atoms = determinize(reverse(minimize(d))).n
+        atoms = atom_count(d)
         rev_qc = quotient_complexity(determinize(reverse(d)))
         if atoms != rev_qc:
-            report.violations.append(
-                _record_from_metrics(
-                    d,
-                    sc=syntactic_complexity(d),
-                    atom_count=atoms,
-                    complexities={},
-                    is_max=False,
-                    campaign=campaign,
-                    timestamp=ts,
-                    seed=seed,
-                )
-            )
+            _file_record(report, d, (syntactic_complexity(d), atoms, (), False))
     return report

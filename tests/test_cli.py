@@ -381,6 +381,23 @@ def test_semigroup_witnesses_closes_once(capsys, monkeypatch, tmp_path):
     assert calls == [True]
 
 
+def test_semigroup_witnesses_stream_from_the_byte_maps(capsys, monkeypatch, tmp_path):
+    # each row is made from the closure's byte map and word and printed at
+    # once, with no Transformation list or WordWitness held for all elements
+    import atomata.semigroup as semigroup
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness rows were collected")
+
+    monkeypatch.setattr(semigroup, "WordWitness", refuse)
+    monkeypatch.setattr(semigroup.TransitionSemigroup, "elements", property(refuse))
+    path = tmp_path / "ex1.dfa"
+    path.write_text(G.FIXTURE_TEXT)
+    code, out, _ = _run(capsys, ["semigroup", str(path), "--witnesses", "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["witnesses"]) == 27
+
+
 @pytest.mark.parametrize("n, k", [(5, 1), (2, 4)])
 def test_small_exhaustive_scans_run_at_any_n_or_k(capsys, n, k):
     argv = ["verify", "prop1", "--n", str(n), "--k", str(k), "--exhaustive"]
@@ -460,8 +477,9 @@ def test_cli_module_runs_without_runpy_warning():
 # was recorded again when its `scanned` came to count every DFA of the
 # space, the only change in that output.  Theorem 3 at n = 3, k = 3 and the
 # converse under a limit were recorded before exhaustive campaigns decided
-# minimality once per letter tuple, and the last two, sampled converses at
-# n = 5 and 6, before sample mode read minimality off that tuple's mask.
+# minimality once per letter tuple, the sampled converses at n = 5 and 6
+# before sample mode read minimality off that tuple's mask, and the last
+# two semigroup outputs before `semigroup --witnesses` streamed its rows.
 # New pins go at the end, so the cases already listed keep their test ids.
 # "EX1" stands for a file holding the example1 document.
 PINNED_OUTPUTS = [
@@ -529,6 +547,14 @@ PINNED_OUTPUTS = [
         # 1 finding
         ["search", "converse", "--n", "6", "--k", "3", "--samples", "2000", "--seed", "2"],
         "b5521a434b90f6387410dcc89984a753a43418300506209ada9aa03d9e9004fd",
+    ),
+    (
+        ["semigroup", "EX1", "--witnesses"],
+        "fa715cf5fd04d0a7897901eb095d24820929275cbba66b4aea4ce62e16eb676b",
+    ),
+    (
+        ["semigroup", "EX1", "--format", "json"],
+        "055df8735b4447cf3d0db8048829cdd40782d3deab2167b042db42fc425d70d1",
     ),
 ]
 

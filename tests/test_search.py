@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -372,6 +373,23 @@ def test_prop2_deterministic():
     r1 = verify_prop2(samples=200, seed=33, timestamp="t")
     r2 = verify_prop2(samples=200, seed=33, timestamp="t")
     assert r1.summary_dict() == r2.summary_dict()
+
+
+def test_prop2_violation_records_are_pinned(monkeypatch):
+    import atomata.search as search
+
+    # one more than the true reverse complexity makes every sample a
+    # violation, so the violation records are written; digest of the JSONL
+    # recorded before the campaigns filed their records through one function
+    true_complexity = search.quotient_complexity
+    monkeypatch.setattr(search, "quotient_complexity", lambda d: true_complexity(d) + 1)
+    rep = verify_prop2(samples=300, seed=5, timestamp="T")
+    assert len(rep.violations) == 300 and rep.findings == []
+    record = rep.violations[0]
+    assert record.atom_count == atom_count(parse_dfa(record.dfa))
+    text = "".join(line + "\n" for line in rep.to_jsonl_lines())
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "aa2ab3d4d9bb29d16e7b28160c06330123055d6cd1e67d40af0e5c695e031187"
 
 
 def test_jsonl_output_shape():
