@@ -12,7 +12,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable
@@ -112,11 +111,6 @@ class Nfa:
         self.initials = frozenset(self.initials)
         self.finals = frozenset(self.finals)
 
-    def successors(self, q, a: str) -> frozenset:
-        if a not in self.alphabet:
-            raise UnknownLetterError(f"letter {a!r} not in alphabet {list(self.alphabet)}")
-        return self.eta[(q, a)]
-
 
 def reverse(m: Dfa | Nfa) -> Nfa:
     """Swap initial and final states and flip every transition."""
@@ -148,7 +142,8 @@ def determinize(m: Nfa, initials: Iterable | None = None) -> Dfa:
     State i of the result carries ``labels[i]``, the frozenset of NFA states
     it stands for.  The empty subset, if reached, stays as a non-final sink.
     The walk numbers the NFA's states by their position in ``m.states`` and
-    runs on bitmasks over those numbers; the labels are built at the end.
+    runs on bitmasks over those numbers; at the end each label is built from
+    the members its bitmask names.
     """
     states = m.states
     width = len(states)
@@ -191,25 +186,14 @@ def determinize(m: Nfa, initials: Iterable | None = None) -> Dfa:
                 order.append(target)
     n = len(order)
     fmask = sum(map(bit.__getitem__, m.finals))
-    # a label is the union of the frozensets of the mask's 8-bit chunks, each
-    # built once; set union reuses the members' stored hashes, where building
-    # every label from its members would hash them again
-    chunks: dict[int, frozenset] = {}
     labels = []
     for s in order:
-        parts = []
+        members = []
         while s:
             low = s & -s
-            chunk = s & low * 255
-            s ^= chunk
-            part = chunks.get(chunk)
-            if part is None:
-                i = low.bit_length() - 1
-                part = chunks[chunk] = frozenset(
-                    q for j, q in enumerate(states[i : i + 8]) if chunk >> i + j & 1
-                )
-            parts.append(part)
-        labels.append(parts[0] if len(parts) == 1 else frozenset().union(*parts))
+            members.append(states[low.bit_length() - 1])
+            s ^= low
+        labels.append(frozenset(members))
     finals = StateSet(n, (i for i, s in enumerate(order) if s & fmask))
     return Dfa(
         n, m.alphabet, tuple(map(Transformation, cols)), 0, finals, labels=tuple(labels)
@@ -271,30 +255,9 @@ def is_minimal(d: Dfa) -> bool:
 def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
     """Whether two DFAs have identical structure up to renaming of states.
 
-    Inputs are minimized first; a parallel breadth-first traversal then
-    builds the state bijection or fails.
+    Inputs are minimized first; canonical minimal DFAs are isomorphic iff equal.
     """
-    d1 = minimize(d1)
-    d2 = minimize(d2)
-    if d1.n != d2.n or d1.alphabet != d2.alphabet:
-        return False
-    if (d1.initial in d1.finals) != (d2.initial in d2.finals):
-        return False
-    mapping = {d1.initial: d2.initial}
-    queue = deque([(d1.initial, d2.initial)])
-    while queue:
-        p, q = queue.popleft()
-        for t1, t2 in zip(d1.deltas, d2.deltas):
-            p2, q2 = t1.map[p], t2.map[q]
-            if p2 in mapping:
-                if mapping[p2] != q2:
-                    return False
-            else:
-                if (p2 in d1.finals) != (q2 in d2.finals):
-                    return False
-                mapping[p2] = q2
-                queue.append((p2, q2))
-    return len(set(mapping.values())) == len(mapping)
+    return minimize(d1) == minimize(d2)
 
 
 def accepts(m: Dfa | Nfa, w: Word) -> bool:

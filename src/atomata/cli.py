@@ -115,9 +115,16 @@ def cmd_semigroup(args) -> int:
             return 0
         # "witnesses" sorts after every summary key: drop the closing "\n}"
         sep = text[:-2] + ',\n  "witnesses": [\n    '
+        # each row is laid out as json.dumps(row, indent=2, sort_keys=True)
+        # would, but only its two strings go through the (C) encoder
         for m, word in rows:
-            row = {"map": list(m), "transformation": str(Transformation(m)), "word": word}
-            print(sep + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    "), end="")
+            entries = ",\n        ".join(map(str, m))
+            print(
+                f'{sep}{{\n      "map": [\n        {entries}\n      ],\n'
+                f'      "transformation": {json.dumps(str(Transformation(m)))},\n'
+                f'      "word": {json.dumps(word)}\n    }}',
+                end="",
+            )
             sep = ",\n    "
         print("\n  ]\n}")
         return 0

@@ -227,7 +227,7 @@ def test_kernels_match_references_on_atom_nfas():
 
 
 def test_kernels_match_references_on_random_nfas():
-    # up to 40 states, so subsets span several 8-state label chunks; many
+    # up to 40 states, so labels have up to 40 members; many
     # successor sets are empty, and so are some initial sets (the Φ sink)
     rng = random.Random(9)
     for _ in range(200):
@@ -309,6 +309,57 @@ def test_isomorphic_prop3_instance(ex1):
 def test_not_isomorphic_same_size():
     d1 = make_dfa(2, [(1, 0)], finals=[0])
     d2 = make_dfa(2, [(1, 0)], finals=[1])
+    assert not is_isomorphic(d1, d2)
+
+
+def _agree_on_short_words(d1, d2):
+    """Whether d1 and d2 accept the same words shorter than n1 + n2.
+
+    Two languages that differ are told apart by a word of length at most
+    n1 + n2 - 2, so over one alphabet this decides equal languages, that is
+    isomorphic minimal DFAs, without minimizing."""
+    maps1 = [t.map for t in d1.deltas]
+    maps2 = [t.map for t in d2.deltas]
+    level = {(d1.initial, d2.initial)}
+    for _ in range(d1.n + d2.n):
+        if any((p in d1.finals) != (q in d2.finals) for p, q in level):
+            return False
+        level = {(m1[p], m2[q]) for p, q in level for m1, m2 in zip(maps1, maps2)}
+    return True
+
+
+def _random_dfa(rng, n, k):
+    maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)]
+    finals = [q for q in range(n) if rng.random() < 0.5]
+    return make_dfa(n, maps, initial=rng.randrange(n), finals=finals)
+
+
+def test_isomorphic_matches_short_word_oracle():
+    rng = random.Random(14)
+    verdicts = []
+    for _ in range(1000):
+        n1, k = rng.randint(1, 3), rng.randint(1, 2)
+        d1 = _random_dfa(rng, n1, k)
+        if rng.random() < 0.3:
+            # the same DFA with its states renumbered: state q becomes perm[q]
+            perm = rng.sample(range(n1), n1)
+            old = sorted(range(n1), key=perm.__getitem__)
+            maps = [tuple(perm[t.map[q]] for q in old) for t in d1.deltas]
+            finals = [perm[q] for q in d1.finals.members()]
+            d2 = make_dfa(n1, maps, initial=perm[d1.initial], finals=finals)
+        else:
+            d2 = _random_dfa(rng, rng.randint(1, 3), k)
+        verdict = is_isomorphic(d1, d2)
+        assert verdict == _agree_on_short_words(d1, d2), (d1, d2)
+        verdicts.append(verdict)
+    assert 300 < sum(verdicts) < 700
+
+
+def test_isomorphism_needs_the_same_alphabet_order():
+    d1 = make_dfa(2, [(1, 0), (0, 0)], finals=[1], letters="ab")
+    d2 = make_dfa(2, [(0, 0), (1, 0)], finals=[1], letters="ba")
+    assert all(accepts(d1, w) == accepts(d2, w) for l in range(4)
+               for w in itertools.product("ab", repeat=l))
     assert not is_isomorphic(d1, d2)
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -455,6 +456,22 @@ def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
             argv = [str(path) if a == "FILE" else a for a in argv]
             code, stdin, err = _run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
             assert code == 0, (line, err)
+
+
+def test_readme_library_tour_runs():
+    """The README's library block runs, and gives the values its comments state."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library quick tour\n", 1)[1].split("```python\n", 1)[1]
+    namespace: dict = {}
+    values = []
+    for stmt in ast.parse(block.split("```", 1)[0]).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    complexity, bound, reach, report = values
+    assert (complexity, len(namespace["reports"]), bound, reach) == (27, 8, 43, 10)
+    assert report.ok
 
 
 def test_cli_module_runs_without_runpy_warning():
