@@ -27,9 +27,9 @@ class Atomaton:
     ``nfa`` has one state per atom, the bitmask ``S.bits`` of its label S of
     plain quotients: the numbering of the collection walks.  Initial states
     are the atoms whose intersection keeps the language itself plain (q0 in
-    S); the single final state, present iff the language is non-empty, is
-    the final-state set F.  ``states``, ``initials``, ``finals``, ``eta`` and
-    ``has_atom`` speak in StateSets over the n quotients.
+    S); the single final state is the atom of the final-state set F, which
+    is Φ when the language is empty.  ``states``, ``initials``, ``finals``,
+    ``eta`` and ``has_atom`` speak in StateSets over the n quotients.
     """
 
     n: int

@@ -71,14 +71,19 @@ CACHE_MAXSIZE = 1 << 14
 
 @dataclass(frozen=True)
 class CampaignRecord:
-    """One scanned DFA worth keeping, with every metric the scan computed."""
+    """One scanned DFA worth keeping, with every metric the scan computed.
+
+    ``atom_complexities`` is the tuple the atom walk returned, atom S at index
+    ``S.bits`` as in ``Atomaton.nfa``, or ``()`` if the scan measured no atom;
+    ``to_dict`` attaches the labels.
+    """
 
     dfa: str  # canonical text document
     n: int
     alphabet_size: int
     syntactic_complexity: int
     atom_count: int
-    atom_complexities: tuple[tuple[str, int], ...]  # (atom label, complexity)
+    atom_complexities: tuple[int, ...]  # indexed by the atom's bitmask
     is_maximal_atoms: bool
     timestamp: str
     campaign: str
@@ -92,27 +97,12 @@ class CampaignRecord:
             "alphabet_size": self.alphabet_size,
             "syntactic_complexity": self.syntactic_complexity,
             "atom_count": self.atom_count,
-            "atom_complexities": {label: c for label, c in self.atom_complexities},
+            "atom_complexities": dict(zip(_atom_labels(self.n), self.atom_complexities)),
             "is_maximal_atoms": self.is_maximal_atoms,
             "timestamp": self.timestamp,
             "campaign": self.campaign,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignRecord":
-        return cls(
-            dfa=data["dfa"],
-            n=data["n"],
-            alphabet_size=data["alphabet_size"],
-            syntactic_complexity=data["syntactic_complexity"],
-            atom_count=data["atom_count"],
-            atom_complexities=tuple(sorted(data["atom_complexities"].items())),
-            is_maximal_atoms=data["is_maximal_atoms"],
-            timestamp=data["timestamp"],
-            campaign=data["campaign"],
-            seed=data.get("seed"),
-        )
 
 
 @dataclass
@@ -436,7 +426,7 @@ def _record_from_metrics(report: CampaignReport, d: Dfa, found: tuple) -> Campai
         alphabet_size=len(d.alphabet),
         syntactic_complexity=sc,
         atom_count=atoms,
-        atom_complexities=tuple(sorted(zip(_atom_labels(d.n), comps))),
+        atom_complexities=comps,
         is_maximal_atoms=is_max,
         timestamp=report.timestamp,
         campaign=report.campaign,
@@ -574,8 +564,8 @@ def verify_theorem3(
 
     def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
         atoms = _reach_subsets(n, pres, fbits)
-        comps = _atom_complexities(pres, n)
-        if atoms == 1 << n and comps == bounds:
+        comps = _atom_complexities(pres, n) if atoms == 1 << n else ()
+        if comps == bounds:
             return None
         return n**n, atoms, comps, False
 

@@ -107,6 +107,8 @@ def test_atoms_of_empty_language():
     (rep,) = reports
     assert rep.is_negative
     assert not rep.is_final  # no final atom when the language is empty
+    # the atomaton still makes F's atom final, here the negative atom
+    assert build_atomaton(d).finals == {StateSet.empty(1)}
 
 
 def test_atom_count_equals_reverse_complexity():

