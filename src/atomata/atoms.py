@@ -96,8 +96,7 @@ def build_atomaton(d: Dfa) -> Atomaton:
     if dm.n == d.n:
         dm = d  # already minimal: atom labels keep the caller's numbering
     drd = determinize(reverse(dm))
-    assert drd.labels is not None
-    masks = tuple(sum(1 << q for q in lab) for lab in drd.labels)
+    masks = drd.labels  # reverse(dm) has states 0..n-1: bit q is quotient q
 
     rev = reverse(drd)  # NFA over drd's state indices
     eta = {

@@ -113,45 +113,42 @@ class Nfa:
 
 
 def reverse(m: Dfa | Nfa) -> Nfa:
-    """Swap initial and final states and flip every transition."""
+    """Swap initial and final states and flip every arc.
+
+    A Dfa's arcs are q —a→ δ_a(q), over states 0..n-1; an Nfa's are its
+    ``eta`` entries.  The flipped arcs are gathered in one dict of sets,
+    which ``Nfa`` completes and freezes.
+    """
     if isinstance(m, Dfa):
         states = tuple(range(m.n))
-        eta: dict = {}
-        for ai, a in enumerate(m.alphabet):
-            t = m.deltas[ai]
-            pre: dict[int, set[int]] = {q: set() for q in states}
-            for q in states:
-                pre[t.map[q]].add(q)
-            for q in states:
-                eta[(q, a)] = frozenset(pre[q])
-        return Nfa(states, m.alphabet, eta, frozenset(m.finals.members()), frozenset({m.initial}))
-    if isinstance(m, Nfa):
-        eta = {(q, a): set() for q in m.states for a in m.alphabet}
-        for (p, a), targets in m.eta.items():
-            for q in targets:
-                eta[(q, a)].add(p)
-        eta = {k: frozenset(v) for k, v in eta.items()}
-        return Nfa(m.states, m.alphabet, eta, m.finals, m.initials)
-    raise TypeError(f"cannot reverse {type(m).__name__}")
+        arcs = {(q, a): (t.map[q],) for a, t in zip(m.alphabet, m.deltas) for q in states}
+        initials, finals = m.finals.members(), (m.initial,)
+    elif isinstance(m, Nfa):
+        states, arcs, initials, finals = m.states, m.eta, m.finals, m.initials
+    else:
+        raise TypeError(f"cannot reverse {type(m).__name__}")
+    eta = {(q, a): set() for q in states for a in m.alphabet}
+    for (p, a), targets in arcs.items():
+        for q in targets:
+            eta[(q, a)].add(p)
+    return Nfa(states, m.alphabet, eta, initials, finals)
 
 
 def determinize(m: Nfa, initials: Iterable | None = None) -> Dfa:
     """Subset construction from the initial set; keeps subset labels.
 
     ``initials``, when given, is the initial set in place of ``m.initials``.
-    State i of the result carries ``labels[i]``, the frozenset of NFA states
-    it stands for.  The empty subset, if reached, stays as a non-final sink.
     The walk numbers the NFA's states by their position in ``m.states`` and
-    runs on bitmasks over those numbers; at the end each label is built from
-    the members its bitmask names.
+    runs on bitmasks over those numbers.  State i of the result carries
+    ``labels[i]``, the bitmask of the subset it stands for: bit j stands for
+    ``m.states[j]``.  The empty subset, if reached, stays as a non-final sink.
     """
-    states = m.states
-    width = len(states)
-    bit = {q: 1 << i for i, q in enumerate(states)}
+    width = len(m.states)
+    bit = {q: 1 << i for i, q in enumerate(m.states)}
     # the successors of a state under every letter packed in one int, letter
     # a in bits a*width.., keyed by the state's own bit
     packed = {}
-    for q in states:
+    for q in m.states:
         union = 0
         shift = 0
         for a in m.alphabet:
@@ -186,18 +183,8 @@ def determinize(m: Nfa, initials: Iterable | None = None) -> Dfa:
                 order.append(target)
     n = len(order)
     fmask = sum(map(bit.__getitem__, m.finals))
-    labels = []
-    for s in order:
-        members = []
-        while s:
-            low = s & -s
-            members.append(states[low.bit_length() - 1])
-            s ^= low
-        labels.append(frozenset(members))
     finals = StateSet(n, (i for i, s in enumerate(order) if s & fmask))
-    return Dfa(
-        n, m.alphabet, tuple(map(Transformation, cols)), 0, finals, labels=tuple(labels)
-    )
+    return Dfa(n, m.alphabet, tuple(map(Transformation, cols)), 0, finals, labels=tuple(order))
 
 
 def minimize(d: Dfa) -> Dfa:

@@ -63,8 +63,9 @@ def _atom_table_lines(atom_dicts: list[dict]) -> list[str]:
 def cmd_analyze(args) -> int:
     d = parse_dfa(_read_document(args.file))
     dm = minimize(d)
-    reports = atoms_of(d)
+    # the closure first: its bound refuses n >= 9 before any atom work
     sc = len(transition_semigroup(dm))
+    reports = atoms_of(d)
     rev_qc = quotient_complexity(determinize(reverse(d)))
     data = {
         "states": d.n,

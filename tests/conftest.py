@@ -115,6 +115,12 @@ def worklist_closure(maps):
     return seen
 
 
+def subset_of(m, mask):
+    """The frozenset of ``m.states`` that a ``determinize`` label names: bit
+    j of the mask stands for ``m.states[j]``."""
+    return frozenset(q for j, q in enumerate(m.states) if mask >> j & 1)
+
+
 def reference_determinize(m):
     """Subset construction on frozensets of NFA states, as the package did
     it before its integer-table kernel: the oracle for ``determinize``."""

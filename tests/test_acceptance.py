@@ -36,7 +36,12 @@ from atomata.search import (
     witness_max_semigroup,
 )
 from atomata.transformations import all_transformations, compose, decompose_singular_perm
-from conftest import full_semigroup_transition_tuples, make_dfa, sample_full_semigroup_dfa
+from conftest import (
+    full_semigroup_transition_tuples,
+    make_dfa,
+    sample_full_semigroup_dfa,
+    subset_of,
+)
 
 
 @contextmanager
@@ -71,13 +76,14 @@ def test_criterion_1_golden_fixture():
         # D^RD table, cell for cell
         drd = determinize(r)
         assert drd.n == 8
-        by_label = {lab: i for i, lab in enumerate(drd.labels)}
+        labels = [subset_of(r, s) for s in drd.labels]
+        by_label = {lab: i for i, lab in enumerate(labels)}
         assert set(by_label) == set(G.TABLE_DRD)
-        assert drd.labels[drd.initial] == G.TABLE_DRD_INITIAL
-        assert {drd.labels[q] for q in drd.finals.members()} == G.TABLE_DRD_FINALS
+        assert labels[drd.initial] == G.TABLE_DRD_INITIAL
+        assert {labels[q] for q in drd.finals.members()} == G.TABLE_DRD_FINALS
         for sub, row in G.TABLE_DRD.items():
             for a, target in row.items():
-                assert drd.labels[drd.delta(a).map[by_label[sub]]] == target
+                assert labels[drd.delta(a).map[by_label[sub]]] == target
 
         # atomaton table, cell for cell
         am = build_atomaton(d)

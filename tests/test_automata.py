@@ -21,7 +21,13 @@ from atomata import (
 from atomata.atoms import build_atomaton
 from atomata.automata import Nfa
 from atomata.errors import UnknownLetterError
-from conftest import make_dfa, random_dfas, reference_determinize, reference_minimize
+from conftest import (
+    make_dfa,
+    random_dfas,
+    reference_determinize,
+    reference_minimize,
+    subset_of,
+)
 
 
 def dfas(max_n=4, max_k=3):
@@ -59,6 +65,14 @@ def test_reverse_matches_golden_table(ex1):
             assert set(r.eta[(q, a)]) == targets, (q, a)
 
 
+def test_reverse_of_a_dfa_equals_reverse_of_the_same_nfa():
+    for d in random_dfas(seed=12, count=60):
+        states = tuple(range(d.n))
+        eta = {(q, a): {t.map[q]} for a, t in zip(d.alphabet, d.deltas) for q in states}
+        as_nfa = Nfa(states, d.alphabet, eta, {d.initial}, d.finals.members())
+        assert reverse(d) == reverse(as_nfa)
+
+
 def test_reverse_one_state_self_loop():
     d = make_dfa(1, [(0,)], finals=[0])
     r = reverse(d)
@@ -77,16 +91,18 @@ def test_reverse_reverse_language(ex1):
 
 
 def test_determinize_matches_golden_table(ex1):
-    drd = determinize(reverse(ex1))
+    r = reverse(ex1)
+    drd = determinize(r)
     assert drd.n == 8
-    by_label = {lab: i for i, lab in enumerate(drd.labels)}
+    labels = [subset_of(r, s) for s in drd.labels]
+    by_label = {lab: i for i, lab in enumerate(labels)}
     assert set(by_label) == set(G.TABLE_DRD)
-    assert drd.labels[drd.initial] == G.TABLE_DRD_INITIAL
-    finals = {drd.labels[q] for q in drd.finals.members()}
+    assert labels[drd.initial] == G.TABLE_DRD_INITIAL
+    finals = {labels[q] for q in drd.finals.members()}
     assert finals == G.TABLE_DRD_FINALS
     for sub, row in G.TABLE_DRD.items():
         for a, target in row.items():
-            got = drd.labels[drd.delta(a).map[by_label[sub]]]
+            got = labels[drd.delta(a).map[by_label[sub]]]
             assert got == target, (sub, a)
 
 
@@ -106,18 +122,20 @@ def test_determinize_of_dfa_view(ex1):
 
 
 def test_determinize_empty_initials(ex1):
-    det = determinize(reverse(ex1), initials=())
+    r = reverse(ex1)
+    det = determinize(r, initials=())
     with pytest.raises(ValueError, match="initial"):
-        determinize(reverse(ex1), initials=[3, 4])
+        determinize(r, initials=[3, 4])
     assert det.n == 1
-    assert det.labels == (frozenset(),)
+    assert [subset_of(r, s) for s in det.labels] == [frozenset()]
     assert not det.finals
     assert not accepts(det, "abcd")
 
 
 def test_phi_is_ordinary_nonfinal_sink(ex1):
-    drd = determinize(reverse(ex1))
-    phi = drd.labels.index(frozenset())
+    r = reverse(ex1)
+    drd = determinize(r)
+    phi = [subset_of(r, s) for s in drd.labels].index(frozenset())
     assert phi not in drd.finals
     for a in drd.alphabet:
         assert drd.delta(a).map[phi] == phi
@@ -188,14 +206,17 @@ def test_brzozowski_minimality():
 # --- integer-table kernels against the frozenset/dict references -------------
 
 
-def assert_same_dfa(got, want):
+def assert_same_dfa(got, want, nfa=None):
     assert got == want  # n, alphabet, deltas, initial and finals
-    assert got.labels == want.labels  # not part of Dfa equality
+    # labels are not part of Dfa equality; the reference's are the frozensets
+    # of nfa's states that determinize's bitmasks name
+    labels = got.labels if nfa is None else tuple(subset_of(nfa, s) for s in got.labels)
+    assert labels == want.labels
 
 
 def check_kernels(nfa):
     det = determinize(nfa)
-    assert_same_dfa(det, reference_determinize(nfa))
+    assert_same_dfa(det, reference_determinize(nfa), nfa)
     assert_same_dfa(minimize(det), reference_minimize(det))
 
 

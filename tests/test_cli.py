@@ -327,13 +327,24 @@ def test_closure_bound_has_no_flag(capsys, monkeypatch, tmp_path, argv):
     assert code == 0
 
 
-def test_closure_bound_on_the_command_line(capsys, tmp_path, closure_bound):
+def test_closure_bound_on_the_command_line(capsys, monkeypatch, tmp_path, closure_bound):
     code, doc, _ = _run(capsys, ["witness", "max-semigroup", "--n", "9"])
     assert code == 0
     assert parse_dfa(doc).n == 9
     path = tmp_path / "w9.dfa"
     path.write_text(doc)
     code, out, err = _run(capsys, ["semigroup", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "387420489" in err and "16777216" in err
+
+    # analyze closes the semigroup before it measures any atom, so it
+    # refuses at once instead of after minutes of atom work
+    def no_atoms(d):
+        raise AssertionError("atoms_of ran before the closure bound")
+
+    monkeypatch.setattr("atomata.cli.atoms_of", no_atoms)
+    code, out, err = _run(capsys, ["analyze", str(path)])
     assert code == 1
     assert out == ""
     assert "387420489" in err and "16777216" in err
