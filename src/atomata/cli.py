@@ -231,8 +231,8 @@ def cmd_intervals(args) -> int:
     return 0
 
 
-def _print_report(report: search.CampaignReport) -> int:
-    for line in report.to_jsonl_lines():
+def _print_report(lines) -> int:
+    for line in lines:
         print(line)
     return 0
 
@@ -244,13 +244,13 @@ def _note_ignored(why: str, flag: str) -> None:
 
 def _campaign(func, args, **extra) -> int:
     """Run an enumeration campaign, over ``--workers`` processes when
-    exhaustive, and print its JSONL."""
+    exhaustive, and print its JSONL, each shard's records as it ends."""
     mode = "sample" if args.samples is not None else "exhaustive"
     if mode == "sample" and args.workers > 1:
         _note_ignored("sampling runs in one process", "--workers")
     if mode == "exhaustive" and args.seed is not None:
         _note_ignored("an exhaustive scan draws no samples", "--seed")
-    report = search.run_sharded(
+    for lines in search.run_sharded(
         func,
         args.n,
         args.k,
@@ -260,8 +260,9 @@ def _campaign(func, args, **extra) -> int:
         seed=args.seed or 0,
         timestamp=args.timestamp,
         **extra,
-    )
-    return _print_report(report)
+    ):
+        _print_report(lines)
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -294,7 +295,7 @@ def cmd_verify(args) -> int:
         )
     else:
         raise AtomataError(f"unknown verification target {args.which!r}")
-    return _print_report(report)
+    return _print_report(report.to_jsonl_lines())
 
 
 def cmd_search(args) -> int:

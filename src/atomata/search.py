@@ -37,11 +37,12 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .atoms import _reachable_collections, atom_count
 from .automata import Dfa, determinize, quotient_complexity, reverse
@@ -58,11 +59,11 @@ LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 # the count at n = 4, k = 3.
 MAX_ENUM_DFAS = 1 << 28
 
-# Entries kept by each of the engine's per-letter-tuple caches.  Exhaustive
-# campaigns repeat a letter tuple only across consecutive final-state sets,
-# so the bound costs them no hits; it keeps memory flat over long campaigns.
-# Both caches stay while the benchmark's tracer reads their cache_info().
-CACHE_MAXSIZE = 1 << 14
+# Entries kept by each of the engine's per-letter-tuple caches.  Hits come
+# only from the consecutive final-state sets of one letter tuple (sampled
+# draws at n >= 4 repeat no tuple), so a handful keeps every hit.  Both
+# caches stay while the benchmark's tracer reads their cache_info().
+CACHE_MAXSIZE = 1 << 4
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +141,12 @@ class CampaignReport:
             **self.extra,
         }
 
+    def record_lines(self) -> Iterator[str]:
+        for rec in itertools.chain(self.violations, self.findings):
+            yield json.dumps(rec.to_dict(), sort_keys=True)
+
     def to_jsonl_lines(self) -> Iterator[str]:
-        for rec in self.violations:
-            yield json.dumps(rec.to_dict(), sort_keys=True)
-        for rec in self.findings:
-            yield json.dumps(rec.to_dict(), sort_keys=True)
+        yield from self.record_lines()
         yield json.dumps(self.summary_dict(), sort_keys=True)
 
 
@@ -214,6 +216,19 @@ def _check_enum_caps(n: int, k: int) -> None:
 def all_maps(n: int) -> list[tuple[int, ...]]:
     """All n^n transformation map tuples of degree n, lexicographic."""
     return list(itertools.product(range(n), repeat=n))
+
+
+def _maps_between(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """``all_maps(n)[lo:hi]`` without building the other maps: each map is
+    the base-n digits of its high part joined to one of n^(n//2) tails."""
+    tails = list(itertools.product(range(n), repeat=n // 2))
+    width = len(tails)
+
+    def block(high: int):
+        head = tuple(high // n**j % n for j in reversed(range(n - n // 2)))
+        return map(head.__add__, tails[max(lo - high * width, 0) : hi - high * width])
+
+    return itertools.chain.from_iterable(map(block, range(lo // width, -(-hi // width))))
 
 
 def _draw(rng: random.Random, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -498,11 +513,11 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
     if report.mode == "exhaustive":
         _check_enum_caps(n, k)
         size = 1 << n
-        maps_list = all_maps(n)
+        # the shard's block: the first maps i with i * num_shards // n^n == shard
         shard, num_shards = params.get("shard", 0), params.get("num_shards", 1)
-        for first_index, first in enumerate(maps_list):
-            if first_index * num_shards // len(maps_list) != shard:
-                continue
+        lo, hi = (-(-s * n**n // num_shards) for s in (shard, shard + 1))
+        maps_list = all_maps(n) if k > 1 else []  # k > 1 only at n <= 4, by the caps
+        for first in _maps_between(n, lo, hi):
             for rest in itertools.product(maps_list, repeat=k - 1):
                 maps = (first, *rest)
                 base = report.scanned
@@ -614,64 +629,68 @@ def find_converse_counterexamples(
         return _closure_size(maps, n), atoms, comps, comps == bounds
 
     _scan(report, letters, check, rules_out=lambda maps: not _maximally_atomic_raw(maps, n))
-    report.extra["syntactic_complexities"] = _complexity_histogram(report.findings)
+    hist = Counter(rec.syntactic_complexity for rec in report.findings)
+    report.extra["syntactic_complexities"] = {str(s): c for s, c in sorted(hist.items())}
     return report
 
 
-def _complexity_histogram(findings: list[CampaignRecord]) -> dict[str, int]:
-    hist: dict[int, int] = {}
-    for rec in findings:
-        hist[rec.syntactic_complexity] = hist.get(rec.syntactic_complexity, 0) + 1
-    return {str(s): c for s, c in sorted(hist.items())}
+# at module level, so that a process pool can pickle it
+def _run_shard(campaign_func, n: int, k: int, kwargs: dict, shard: int) -> CampaignReport:
+    return campaign_func(n, k, shard=shard, **kwargs)
 
 
 def run_sharded(
-    campaign_func,
-    n: int,
-    k: int,
-    *,
-    workers: int,
-    **kwargs,
-) -> CampaignReport:
-    """Run an exhaustive campaign over worker processes, each shard taking
-    a contiguous block of the first letter's transformation indices.
+    campaign_func, n: int, k: int, *, workers: int, **kwargs
+) -> Iterator[Iterable[str]]:
+    """Run a campaign; yield the JSONL lines of each shard's records as the
+    shard ends, in shard order, then the summary line.
 
-    Shards join in shard order, which is the order of a single-process
-    run.  Each shard's ``marks`` join too, the earlier shards' totals added
-    to them.  Under ``limit``, the merge is cut back to the mark of the
-    finding that reaches it, so its records and counts equal that run's.
-    The pool starts at most one process per CPU, whatever ``workers`` is;
-    ``workers`` only sets the number of shards.
+    An exhaustive scan is cut into min(n^n, 256) shards of consecutive
+    first-letter indices, run in this process with ``workers=1`` and else
+    by at most one process per CPU.  Only the counts and the histogram are
+    kept from a shard.  Under ``limit`` the shard that reaches it is cut
+    back to that finding's mark and no later shard starts, so the records
+    and counts equal a one-process run's.  The summary names the shards
+    ``"merged"`` of ``workers``, or 0 of 1 with ``workers=1``.  A sampled
+    campaign runs as one call.
     """
-    if workers <= 1:
-        return campaign_func(n, k, **kwargs)
     # one timestamp for every shard's records, even when none was given
     kwargs["timestamp"] = _now(kwargs.get("timestamp"))
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        futures = [
-            pool.submit(campaign_func, n, k, **dict(kwargs, shard=i, num_shards=workers))
-            for i in range(workers)
-        ]
-        parts = [f.result() for f in futures]
-    merged = parts[0]
-    for part in parts[1:]:
-        s, t, v = merged.scanned, merged.tested, len(merged.violations)
-        merged.marks += [(s + ps, t + pt, v + pv) for ps, pt, pv in part.marks]
-        merged.scanned += part.scanned
-        merged.tested += part.tested
-        merged.violations.extend(part.violations)
-        merged.findings.extend(part.findings)
+    if kwargs.get("mode", "exhaustive") != "exhaustive":
+        yield campaign_func(n, k, **kwargs).to_jsonl_lines()
+        return
+    _check_enum_caps(n, k)
+    num_shards = min(n**n, 256)
+    run = partial(_run_shard, campaign_func, n, k, dict(kwargs, num_shards=num_shards))
     limit = kwargs.get("limit")
-    if limit is not None and len(merged.findings) >= limit:
-        merged.scanned, merged.tested, seen = merged.marks[limit - 1]
-        del merged.findings[limit:], merged.violations[seen:]
-    if "syntactic_complexities" in merged.extra:
-        merged.extra["syntactic_complexities"] = _complexity_histogram(merged.findings)
-    merged.params["num_shards"] = workers
-    merged.params["shard"] = "merged"
-    return merged
+    totals: Counter = Counter()
+    histogram: Counter = Counter()
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
+    try:
+        for part in (pool.map if pool else map)(run, range(num_shards)):
+            if limit is not None and totals["findings"] + len(part.findings) >= limit:
+                keep = limit - totals["findings"]
+                part.scanned, part.tested, seen = part.marks[keep - 1]
+                del part.findings[keep:], part.violations[seen:]
+            yield part.record_lines()
+            totals.update(scanned=part.scanned, tested=part.tested, findings=len(part.findings))
+            totals["violations"] += len(part.violations)
+            histogram.update(str(rec.syntactic_complexity) for rec in part.findings)
+            if totals["findings"] == limit:
+                break
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    summary = dict(part.summary_dict(), **totals, ok=not totals["violations"])
+    shard, num_shards = ("merged", workers) if pool else (0, 1)
+    summary["params"] = dict(part.params, shard=shard, num_shards=num_shards)
+    if "syntactic_complexities" in summary:
+        summary["syntactic_complexities"] = dict(histogram)
+    yield [json.dumps(summary, sort_keys=True)]
 
 
 def verify_prop1(

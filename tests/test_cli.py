@@ -599,6 +599,71 @@ def test_output_is_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _count_campaign_calls(monkeypatch) -> list:
+    """Patch the converse campaign; the list gets the shard of each call."""
+    import atomata.search as search
+
+    calls = []
+    original = search.find_converse_counterexamples
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("shard"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search, "find_converse_counterexamples", counted)
+    return calls
+
+
+def test_records_reach_stdout_before_the_second_shard_runs(monkeypatch):
+    calls = _count_campaign_calls(monkeypatch)
+
+    class Stdout(io.StringIO):
+        calls_at_first_write = None
+
+        def write(self, text):
+            if self.calls_at_first_write is None:
+                self.calls_at_first_write = len(calls)
+            return super().write(text)
+
+    out = Stdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    timestamp = "2013-02-15T00:00:00+00:00"
+    argv = ["search", "converse", "--n", "3", "--k", "3", "--workers", "1", "--timestamp", timestamp]
+    assert main(argv) == 0
+    assert out.calls_at_first_write == 1
+    assert calls == list(range(27))
+    # the benchmark's digest of this command
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
+        "a951949ea76d31bc5d7e28fcd893f01312b8690b37be8d04c1d3a901f13d9589"
+    )
+
+
+def test_limit_in_process_runs_no_later_shard(capsys, monkeypatch):
+    calls = _count_campaign_calls(monkeypatch)
+    argv = ["search", "converse", "--n", "3", "--k", "3", "--limit", "1", "--workers", "1"]
+    code, out, _ = _run(capsys, argv + ["--timestamp", "t0"])
+    assert code == 0
+    # the first finding is in shard 0, the first letter (0, 0, 0)
+    assert calls == [0]
+    single = find_converse_counterexamples(3, 3, limit=1, timestamp="t0")
+    assert out == "".join(line + "\n" for line in single.to_jsonl_lines())
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (5, 2)])
+def test_caps_refuse_before_any_shard(capsys, monkeypatch, n, k):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    argv = ["search", "converse", "--n", str(n), "--k", str(k), "--workers", "2"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"exhaustive enumeration at n={n}, k={k} is over the cap" in err
+
+
 @pytest.mark.parametrize("limit", [[], ["--limit", "100"]], ids=["all", "limit-100"])
 def test_converse_on_two_workers_matches_one(capsys, limit):
     argv = ["search", "converse", "--n", "3", "--k", "3", *limit, "--timestamp", "t0"]

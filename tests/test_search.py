@@ -38,6 +38,7 @@ from atomata.search import (
     _eta_tables,
     _is_minimal_raw,
     _make_dfa,
+    _maps_between,
     _maximally_atomic_raw,
     _minimal_finals,
     _pre_tables,
@@ -435,37 +436,52 @@ def test_sharding_matches_single_run():
     assert sum(p.tested for p in parts) == whole.tested
 
 
-def test_run_sharded_merges():
-    merged = run_sharded(verify_theorem3, 2, 2, workers=2, timestamp="fixed")
-    single = verify_theorem3(2, 2, timestamp="fixed")
-    assert merged.scanned == single.scanned
-    assert merged.tested == single.tested
-    assert merged.violations == single.violations
+def _streamed(campaign_func, n, k, **kwargs):
+    """``run_sharded``'s lines, its records and its summary apart."""
+    *records, summary = itertools.chain.from_iterable(run_sharded(campaign_func, n, k, **kwargs))
+    return records, json.loads(summary)
 
 
-def test_run_sharded_matches_single_run_order():
-    single = find_converse_counterexamples(3, 2, timestamp="fixed")
-    merged = run_sharded(find_converse_counterexamples, 3, 2, workers=2, timestamp="fixed")
-    assert single.findings
-    assert merged.findings == single.findings
-    assert merged.violations == single.violations
-    assert merged.extra == single.extra
-
-
-def _summary_without_params(report):
-    summary = report.summary_dict()
+def _summary_without_params(summary):
+    summary = dict(summary)
     del summary["params"]
     return summary
 
 
+def test_run_sharded_merges():
+    records, summary = _streamed(verify_theorem3, 2, 2, workers=2, timestamp="fixed")
+    single = verify_theorem3(2, 2, timestamp="fixed")
+    assert records == list(single.record_lines())
+    assert summary["scanned"] == single.scanned
+    assert summary["tested"] == single.tested
+    assert summary["violations"] == len(single.violations)
+
+
+def test_run_sharded_matches_single_run_order():
+    single = find_converse_counterexamples(3, 2, timestamp="fixed")
+    records, summary = _streamed(find_converse_counterexamples, 3, 2, workers=2, timestamp="fixed")
+    assert single.findings
+    assert records == list(single.record_lines())
+    assert summary["syntactic_complexities"] == single.extra["syntactic_complexities"]
+    assert summary["params"] == dict(single.params, shard="merged", num_shards=2)
+    assert _summary_without_params(summary) == _summary_without_params(single.summary_dict())
+
+
+def test_run_sharded_on_one_worker_prints_the_one_call_lines():
+    """The summary's params included: one worker names the shards 0 of 1."""
+    records, summary = _streamed(find_converse_counterexamples, 3, 2, workers=1, timestamp="fixed")
+    single = find_converse_counterexamples(3, 2, timestamp="fixed")
+    assert [*records, json.dumps(summary, sort_keys=True)] == list(single.to_jsonl_lines())
+
+
 def test_run_sharded_honours_limit():
     single = find_converse_counterexamples(3, 3, limit=5, timestamp="fixed")
-    merged = run_sharded(
+    records, summary = _streamed(
         find_converse_counterexamples, 3, 3, workers=2, limit=5, timestamp="fixed"
     )
-    assert len(merged.findings) == 5
-    assert merged.findings == single.findings
-    assert _summary_without_params(merged) == _summary_without_params(single)
+    assert summary["findings"] == 5
+    assert records == list(single.record_lines())
+    assert _summary_without_params(summary) == _summary_without_params(single.summary_dict())
 
 
 @pytest.fixture
@@ -480,16 +496,11 @@ def inline_pool(monkeypatch):
         def __init__(self, max_workers):
             pool_sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args, **kwargs):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args, **kwargs))
-            return future
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return pool_sizes
@@ -500,29 +511,57 @@ def test_run_sharded_under_a_limit_matches_single_run(inline_pool, monkeypatch, 
     """Records and counts equal the one-process run's wherever the limit
     falls, violations included: with the letter test admitting every
     tuple, the walk refutes most of the 2056 minimal DFAs, 432 of them
-    findings, and records each refuted one as a violation."""
+    findings, and records each refuted one as a violation.  The records
+    come shard by shard, each shard's violations before its findings, so
+    the violations and the findings each keep the one-process order."""
     import atomata.search as search
 
     monkeypatch.setattr(search, "_maximally_atomic_raw", lambda maps, n: True)
     single = find_converse_counterexamples(3, 2, limit=limit, timestamp="fixed")
-    merged = run_sharded(
+    records, summary = _streamed(
         find_converse_counterexamples, 3, 2, workers=workers, limit=limit, timestamp="fixed"
     )
     assert single.violations
-    assert merged.findings == single.findings
-    assert merged.violations == single.violations
-    assert _summary_without_params(merged) == _summary_without_params(single)
+    maximal = [json.loads(line)["is_maximal_atoms"] for line in records]
+    lines = {
+        kind: [json.dumps(rec.to_dict(), sort_keys=True) for rec in recs]
+        for kind, recs in ((True, single.findings), (False, single.violations))
+    }
+    for kind in (True, False):
+        assert [r for r, m in zip(records, maximal) if m is kind] == lines[kind]
+    assert _summary_without_params(summary) == _summary_without_params(single.summary_dict())
 
 
 def test_run_sharded_starts_one_process_per_cpu(inline_pool, monkeypatch):
     import os
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    merged = run_sharded(find_converse_counterexamples, 3, 2, workers=8, timestamp="fixed")
+    records, summary = _streamed(find_converse_counterexamples, 3, 2, workers=8, timestamp="fixed")
     single = find_converse_counterexamples(3, 2, timestamp="fixed")
     assert inline_pool == [2]
-    assert merged.findings == single.findings
-    assert merged.params["num_shards"] == 8
+    assert records == list(single.record_lines())
+    assert summary["params"]["num_shards"] == 8
+
+
+def test_shards_build_no_map_list_at_one_letter(monkeypatch):
+    """A shard of a one-letter scan makes only its own block of first maps
+    (at n = 7 all n^n of them would take 90 MB per shard)."""
+    import atomata.search as search
+
+    single = verify_theorem3(5, 1, timestamp="fixed")
+    monkeypatch.setattr(search, "all_maps", None)
+    records, summary = _streamed(verify_theorem3, 5, 1, workers=1, timestamp="fixed")
+    assert [*records, json.dumps(summary, sort_keys=True)] == list(single.to_jsonl_lines())
+
+
+def test_maps_between_is_a_slice_of_all_maps():
+    rng = random.Random(3)
+    for n in range(1, 7):
+        maps = all_maps(n)
+        for lo, hi in [(0, len(maps)), (0, 0), (len(maps), len(maps))] + [
+            sorted(rng.sample(range(len(maps) + 1), 2)) for _ in range(30)
+        ]:
+            assert list(_maps_between(n, lo, hi)) == maps[lo:hi]
 
 
 def test_letter_filters_run_once_per_letter_tuple(monkeypatch):
