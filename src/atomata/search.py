@@ -76,7 +76,7 @@ class CampaignRecord:
 
     ``atom_complexities`` is the tuple the atom walk returned, atom S at index
     ``S.bits`` as in ``Atomaton.nfa``, or ``()`` if the scan measured no atom;
-    ``to_dict`` attaches the labels.
+    ``to_dict``, the library form, attaches the labels; ``record_lines`` writes its JSON.
     """
 
     dfa: str  # canonical text document
@@ -142,12 +142,36 @@ class CampaignReport:
         }
 
     def record_lines(self) -> Iterator[str]:
+        """Each record's JSONL line, violations first, with the bytes of
+        ``json.dumps(rec.to_dict(), sort_keys=True)`` but from one template.
+        Every string goes through ``json.dumps``; ``atom_complexities`` is
+        encoded once per distinct tuple, and the record's own ``campaign``,
+        ``timestamp`` and ``seed`` once per distinct triple."""
+        dumps, encoded = json.dumps, {}
         for rec in itertools.chain(self.violations, self.findings):
-            yield json.dumps(rec.to_dict(), sort_keys=True)
+            comps, head = (rec.n, rec.atom_complexities), (rec.campaign, rec.timestamp, rec.seed)
+            if comps not in encoded:
+                encoded[comps] = dumps(dict(zip(_atom_labels(rec.n), comps[1])), sort_keys=True)
+            if head not in encoded:
+                encoded[head] = tuple(map(dumps, head))
+            campaign, timestamp, seed = encoded[head]
+            yield _RECORD_LINE % (
+                rec.alphabet_size, encoded[comps], rec.atom_count, campaign, dumps(rec.dfa),
+                "true" if rec.is_maximal_atoms else "false", rec.n, seed,
+                rec.syntactic_complexity, timestamp,
+            )
 
     def to_jsonl_lines(self) -> Iterator[str]:
         yield from self.record_lines()
         yield json.dumps(self.summary_dict(), sort_keys=True)
+
+
+# what json.dumps(rec.to_dict(), sort_keys=True) writes, for record_lines
+_RECORD_LINE = (
+    '{"alphabet_size": %d, "atom_complexities": %s, "atom_count": %d, "campaign": %s, "dfa": %s, '
+    '"is_maximal_atoms": %s, "n": %d, "seed": %s, "syntactic_complexity": %d, "timestamp": %s, '
+    '"type": "campaign-record"}'
+)
 
 
 def _now(timestamp: Optional[str]) -> str:
@@ -504,11 +528,17 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
     """
     params = report.params
     n, k = params["n"], params["k"]
+    sigma, filed = tuple(LETTER_NAMES[:k]), [None, ()]  # last letter tuple filed, its deltas
 
     def visit(maps: tuple[tuple[int, ...], ...], pres, fbits: int) -> bool:
-        """Check one minimal DFA; True when the record limit is reached."""
+        """Check one minimal DFA; True when the record limit is reached.  The
+        record DFAs of one letter tuple share its Transformations."""
         found = check(maps, pres, fbits)
-        return found is not None and _file_record(report, _make_dfa(n, k, maps, fbits), found)
+        if found is None:
+            return False
+        if filed[0] is not maps:
+            filed[:] = maps, tuple(map(Transformation, maps))
+        return _file_record(report, Dfa(n, sigma, filed[1], 0, StateSet.from_bits(n, fbits)), found)
 
     if report.mode == "exhaustive":
         _check_enum_caps(n, k)

@@ -5,9 +5,11 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from atomata import (
     StateSet,
+    Transformation,
     atom_count,
     atoms_of,
     build_atomaton,
@@ -18,10 +20,12 @@ from atomata import (
     transition_semigroup,
 )
 from atomata.cli import parse_dfa
+from atomata.document import serialize_dfa
 from atomata.errors import EnumerationCapError
 from atomata.search import (
     MAX_ENUM_DFAS,
     CampaignRecord,
+    CampaignReport,
     example1,
     find_converse_counterexamples,
     random_dfa,
@@ -340,6 +344,119 @@ def test_records_of_a_letter_tuple_share_one_tuple():
     assert len(rep.findings) == 18144 and len(ids_by_letters) == 3024
     assert all(len(ids) == 1 for ids in ids_by_letters.values())
     assert len({id(rec.atom_complexities) for rec in rep.findings}) == 3024
+
+
+# --- record lines ----------------------------------------------------------
+#
+# record_lines writes each line from a template; to_dict through json.dumps
+# is its oracle.
+
+# the characters JSON escapes or ensure_ascii rewrites, astral ones included
+_AWKWARD = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aΦé\u2028\U0001f600\U00010000'))
+_TEXTS = st.one_of(_AWKWARD, st.text(), st.sampled_from(["camp", "T"]))
+_SEEDS = st.one_of(st.none(), st.integers(), st.sampled_from([0, 1]))
+
+# a few full tuples per n, so that records share them as a letter tuple's do
+_SHARED_COMPS = {n: [tuple(range(1 << n)), tuple([7] * (1 << n))] for n in range(1, 5)}
+
+
+@st.composite
+def _records(draw):
+    n = draw(st.integers(1, 4))
+    comps = draw(
+        st.one_of(
+            st.just(()),
+            st.sampled_from(_SHARED_COMPS[n]),
+            st.tuples(*[st.integers(0, 300)] * (1 << n)),
+        )
+    )
+    return CampaignRecord(
+        dfa=draw(_TEXTS),
+        n=n,
+        alphabet_size=draw(st.integers()),
+        syntactic_complexity=draw(st.integers()),
+        atom_count=draw(st.integers()),
+        atom_complexities=comps,
+        is_maximal_atoms=draw(st.booleans()),
+        timestamp=draw(_TEXTS),
+        campaign=draw(_TEXTS),
+        seed=draw(_SEEDS),
+    )
+
+
+@st.composite
+def _reports(draw):
+    records = st.lists(_records(), max_size=6)
+    return CampaignReport(
+        draw(_TEXTS),
+        "exhaustive",
+        {"seed": draw(_SEEDS)},
+        violations=draw(records),
+        findings=draw(records),
+        timestamp=draw(_TEXTS),
+    )
+
+
+def _expected_lines(report):
+    return [json.dumps(rec.to_dict(), sort_keys=True) for rec in report.violations + report.findings]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reports())
+@example(
+    CampaignReport(
+        "camp",
+        "sample",
+        {"seed": 3},
+        findings=[
+            CampaignRecord('d "\\ \x01 é \U0001f600', 2, 1, 3, 4, (1, 2, 3, 4), True, "T", "camp", 3),
+            CampaignRecord("d", 2, 1, 3, 4, (1, 2, 3, 4), False, 'T"\x02', "Φ\\", None),
+            CampaignRecord("d", 1, 1, 1, 1, (), False, "T", "camp", 4),
+        ],
+        timestamp="T",
+    )
+)
+def test_record_lines_equal_the_dumped_dicts(report):
+    assert list(report.record_lines()) == _expected_lines(report)
+
+
+def test_record_lines_equal_the_dumped_dicts_on_campaigns():
+    reports = [
+        verify_theorem3(1, 2, timestamp="fixed"),  # violations, no atom measured
+        find_converse_counterexamples(3, 2, timestamp="fixed"),
+        find_converse_counterexamples(3, 2, mode="sample", samples=300, seed=4, timestamp="fixed"),
+        verify_prop1(1, mode="exhaustive", timestamp="fixed"),
+    ]
+    assert all(rep.violations or rep.findings for rep in reports)
+    for rep in reports:
+        assert list(rep.record_lines()) == _expected_lines(rep)
+
+
+def test_record_dfas_of_a_letter_tuple_share_its_transformations(monkeypatch):
+    import atomata.search as search
+
+    filed = []
+    file_record = search._file_record
+    monkeypatch.setattr(
+        search, "_file_record", lambda report, d, found: filed.append(d) or file_record(report, d, found)
+    )
+    built = []
+    monkeypatch.setattr(search, "Transformation", lambda m: built.append(m) or Transformation(m))
+    rep = find_converse_counterexamples(3, 2, timestamp="fixed")
+    # 72 letter tuples file records, and each builds its k = 2 maps once
+    assert len(filed) == len(rep.findings) == 432 and len(built) == 72 * 2
+    deltas_by_maps = {}
+    for d, rec in zip(filed, rep.findings):
+        maps = tuple(t.map for t in d.deltas)
+        assert d == _make_dfa(3, 2, maps, d.finals.bits)
+        assert type(d.alphabet) is tuple and rec.dfa == serialize_dfa(d)
+        deltas_by_maps.setdefault(maps, set()).add(id(d.deltas))
+    assert len(deltas_by_maps) == 72
+    assert all(len(ids) == 1 for ids in deltas_by_maps.values())
+    # Theorem 3 files nothing at n = 3, so it builds no Transformation
+    built.clear()
+    assert not verify_theorem3(3, 3, timestamp="fixed").violations
+    assert built == []
 
 
 def _assert_record_roundtrips(rec: CampaignRecord):
