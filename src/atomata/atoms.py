@@ -120,15 +120,14 @@ def _resolve_label(am: Atomaton, s: StateSet) -> StateSet:
     return s
 
 
-def atom_minimal_dfa(d: Dfa, s: StateSet, *, _atomaton: Optional[Atomaton] = None) -> Dfa:
+def atom_minimal_dfa(d: Dfa, s: StateSet) -> Dfa:
     """Minimal DFA of the atom labeled s.
 
-    Determinizes the atomaton started at {s}; that determinization is
-    expected to already be minimal (atoms are disjoint, so distinct
-    collections of them have distinct unions).  A mismatch is reported as a
-    diagnostic warning and the minimized automaton is returned regardless.
+    Determinizes the atomaton started at {s}, which ``atoms_of`` counts as
+    minimal, and minimizes it: a mismatch is reported as a diagnostic
+    warning and the minimized automaton is returned regardless.
     """
-    am = _atomaton if _atomaton is not None else build_atomaton(d)
+    am = build_atomaton(d)
     s = _resolve_label(am, s)
     det = determinize(am.nfa, initials=[s.bits])
     mini = minimize(det)
@@ -150,16 +149,19 @@ def atoms_of(d: Dfa) -> list[AtomReport]:
     """One report per atom, ordered by (|S|, members).
 
     The negative atom (all quotients complemented), when the language has
-    one, is included and flagged; its label is the empty set.
+    one, is included and flagged; its label is the empty set.  An atom's
+    complexity is the size of the atomaton determinized from {S}, which is
+    minimal: each state accepts the union of its collection of atoms, and
+    atoms are disjoint and non-empty, so distinct collections have distinct
+    unions (Brzozowski & Tamm, *Theory of átomata*).
     """
     am = build_atomaton(d)
-    dm = am.source
     n = am.n
-    nonempty = bool(dm.finals)
+    nonempty = bool(am.source.finals)
     reports = []
     for s in am.states:
         r = n - len(s)
-        complexity = atom_minimal_dfa(d, s, _atomaton=am).n
+        complexity = determinize(am.nfa, initials=[s.bits]).n
         bound = max_atom_complexity(n, r)
         reports.append(
             AtomReport(

@@ -48,9 +48,7 @@ def is_maximal_atoms(d: "Dfa") -> tuple[bool, list["AtomReport"]]:
     Returns the verdict together with the per-atom reports it was read from.
     """
     from .atoms import atoms_of
-    from .automata import quotient_complexity
 
-    n = quotient_complexity(d)
     reports = atoms_of(d)
-    ok = len(reports) == 2**n and all(rep.is_maximal for rep in reports)
+    ok = len(reports) == 2 ** reports[0].label.n and all(rep.is_maximal for rep in reports)
     return ok, reports

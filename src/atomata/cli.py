@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_atomaton)
 
     p = sub.add_parser("bounds", help="atom complexity bounds for one n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=count)
     _add_format(p)
     p.set_defaults(func=cmd_bounds)
 

@@ -18,7 +18,7 @@ from atomata import (
     quotient_complexity,
     reverse,
 )
-from atomata.errors import NotAnAtomError
+from atomata.errors import NotAnAtomError, UnknownLetterError
 from conftest import make_dfa, random_dfas
 
 
@@ -137,6 +137,13 @@ def test_atom_minimal_dfa_errors(ex1):
         atom_minimal_dfa(d2, StateSet(2, [0, 1]))
 
 
+def test_atomaton_eta_refuses_unknown_letters(ex1):
+    am = build_atomaton(ex1)
+    with pytest.raises(UnknownLetterError) as err:
+        am.eta(StateSet.full(3), "x")
+    assert str(err.value) == "letter 'x' not in alphabet ['a', 'b', 'c', 'd']"
+
+
 def test_atom_complexities_example1(ex1):
     assert atom_quotient_complexity(ex1, StateSet.full(3)) == 7
     assert atom_quotient_complexity(ex1, StateSet(3, [0, 1])) == 10
@@ -144,11 +151,17 @@ def test_atom_complexities_example1(ex1):
 
 
 def test_atom_determinization_already_minimal(ex1):
+    """``atoms_of`` counts each atom's determinization unminimized; the
+    minimized DFA of ``atom_minimal_dfa`` is the oracle."""
+    from atomata.search import witness_max_semigroup
+
+    inputs = [ex1, *random_dfas(seed=51, count=40, max_n=4)]
+    inputs += [witness_max_semigroup(5), witness_max_semigroup(6)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the diagnostic must not fire
-        for d in [ex1, *random_dfas(seed=51, count=40, max_n=4)]:
+        for d in inputs:
             for rep in atoms_of(d):
-                atom_minimal_dfa(d, rep.label)
+                assert rep.complexity == atom_minimal_dfa(d, rep.label).n, rep.label
 
 
 def test_atom_language_against_membership_oracle(ex1):

@@ -52,6 +52,62 @@ def dfas(max_n=4, max_k=3):
     return st.tuples(st.integers(1, max_n), st.integers(1, max_k)).flatmap(build)
 
 
+# --- constructor checks -----------------------------------------------------
+
+_T2 = Transformation((1, 0))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, ("a",), (), 0, StateSet(0)), "a DFA needs at least one state"),
+        ((2, (), (), 0, StateSet(2)), "alphabet letters must be distinct and non-empty"),
+        (
+            (2, ("a", "a"), (_T2, _T2), 0, StateSet(2)),
+            "alphabet letters must be distinct and non-empty",
+        ),
+        ((2, ("",), (_T2,), 0, StateSet(2)), "empty letter name"),
+        ((2, ("a", "b"), (_T2,), 0, StateSet(2)), "one transformation per letter required"),
+        (
+            (3, ("a",), (_T2,), 0, StateSet(3)),
+            "transformation for 'a' has degree 2, expected 3",
+        ),
+        ((2, ("a",), (_T2,), 2, StateSet(2)), "initial state 2 out of range"),
+        ((2, ("a",), (_T2,), -1, StateSet(2)), "initial state -1 out of range"),
+        (
+            (2, ("a",), (_T2,), 0, StateSet(3)),
+            "final-state set universe does not match state count",
+        ),
+        ((2, ("a",), (_T2,), 0, StateSet(2), (1,)), "labels must align with states"),
+    ],
+)
+def test_dfa_constructor_errors(args, message):
+    with pytest.raises(ValueError) as err:
+        Dfa(*args)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((), ("a",), {}, (), ()), "states must be distinct and non-empty"),
+        (((0, 0), ("a",), {}, (), ()), "states must be distinct and non-empty"),
+        (((0,), (), {}, (), ()), "alphabet letters must be distinct and non-empty"),
+        (((0,), ("a", "a"), {}, (), ()), "alphabet letters must be distinct and non-empty"),
+        (((0,), ("a",), {}, {1}, ()), "initial/final states must be states"),
+        (((0,), ("a",), {}, (), {1}), "initial/final states must be states"),
+        (
+            ((0, 1), ("a",), {(1, "a"): {2}}, (), ()),
+            "transition from 1 on 'a' leaves the state set",
+        ),
+    ],
+)
+def test_nfa_constructor_errors(args, message):
+    with pytest.raises(ValueError) as err:
+        Nfa(*args)
+    assert str(err.value) == message
+
+
 # --- reversal ---------------------------------------------------------------
 
 
@@ -398,6 +454,25 @@ def test_accepts_examples(ex1):
 def test_accepts_epsilon():
     d = make_dfa(1, [(0,)], finals=[0])
     assert accepts(d, "")
+
+
+def test_accepts_on_nfas_against_dfa_runs(ex1):
+    """An atomaton accepts the language, and a reversal the reversed words;
+    ``Dfa.run`` is the oracle."""
+    for d in [ex1, *random_dfas(seed=61, count=30, max_n=4)]:
+        atomaton, rev = build_atomaton(d).nfa, reverse(d)
+        for length in range(6):
+            for w in itertools.product(d.alphabet, repeat=length):
+                expected = d.run(w) in d.finals
+                assert accepts(atomaton, w) == expected, (d, w)
+                assert accepts(rev, w[::-1]) == expected, (d, w)
+
+
+def test_accepts_refuses_unknown_letters_and_non_automata(ex1):
+    with pytest.raises(UnknownLetterError, match="letter 'x' not in alphabet"):
+        accepts(reverse(ex1), "ax")
+    with pytest.raises(TypeError, match="cannot run str"):
+        accepts("ab", "ab")
 
 
 def test_is_minimal(ex1):

@@ -51,6 +51,31 @@ def test_is_maximal_atoms_on_example1():
     assert len(reports) == 8
 
 
+def test_is_maximal_atoms_minimizes_once(monkeypatch):
+    """n comes from the atom labels: the input is minimized once, by the
+    atomaton; a non-minimal input gets the minimal DFA's verdict."""
+    import atomata.atoms
+    import atomata.automata
+
+    ex1 = example1()
+    # example1 plus an unreachable copy of its state 0
+    padded = make_dfa(
+        4, [t.map + (t.map[0],) for t in ex1.deltas], finals=ex1.finals.members()
+    )
+    calls = []
+    real = atomata.automata.minimize
+
+    def counted(d):
+        calls.append(d.n)
+        return real(d)
+
+    monkeypatch.setattr(atomata.automata, "minimize", counted)
+    monkeypatch.setattr(atomata.atoms, "minimize", counted)
+    ok, reports = is_maximal_atoms(padded)
+    assert ok and len(reports) == 8 and {rep.label.n for rep in reports} == {3}
+    assert calls == [4]
+
+
 def test_is_maximal_atoms_witnesses():
     for n in (2, 3, 4):
         ok, reports = is_maximal_atoms(witness_max_semigroup(n))

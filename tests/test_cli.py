@@ -76,6 +76,48 @@ def test_parse_error_final_state_names_line():
     assert (err.value.line, err.value.column) == (4, 10)
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("# header\nstates 3\n", "expected 'name: ...'", 2),
+        ("states: 3\nstates: 3\n", "duplicate section 'states'", 2),
+        ("states: x\n", "states: wants one number", 1),
+        ("states: 0\n", "state count must be positive", 1),
+        ("states: 3\nalphabet:\n", "alphabet: wants at least one letter", 2),
+        ("states: 3\nalphabet: a b a\n", "alphabet letters must be distinct", 2),
+        ("states: 3\nalphabet: a\ninitial: 0 1\n", "initial: wants one state", 3),
+        ("states: 3\nalphabet: a\ninitial: 0\n", "missing section 'final'", None),
+        (
+            "states: 3\nalphabet: a\ninitial: 0\nfinal: 1\na: 0 1\n",
+            "row for 'a' needs 3 entries, got 2",
+            5,
+        ),
+        (
+            "states: 3\nalphabet: a b\ninitial: 0\nfinal: 1\n\n# rows\na: 0 1 2 0\nb: 0 1 2\n",
+            "row for 'a' needs 3 entries, got 4",
+            7,
+        ),
+    ],
+    ids=[
+        "no-name", "header-repeated", "states-not-a-number", "states-0", "empty-alphabet",
+        "repeated-letter", "two-initials", "missing-section", "short-row", "long-row",
+    ],
+)
+def test_parse_errors_name_the_line(text, message, line):
+    with pytest.raises(DfaParseError) as err:
+        parse_dfa(text)
+    where = "" if line is None else f" (line {line})"
+    assert str(err.value) == message + where
+    assert (err.value.line, err.value.column) == (line, None)
+
+
+@pytest.mark.parametrize("letter", ["a:", "a b", "#", "a\n"])
+def test_serialize_refuses_letters_the_format_cannot_hold(letter):
+    d = make_dfa(1, [(0,)], finals=[0], letters=[letter])
+    with pytest.raises(ValueError, match="cannot be written in the text format"):
+        serialize_dfa(d)
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -365,8 +407,13 @@ def test_closure_bound_on_the_command_line(capsys, monkeypatch, tmp_path, closur
         (["verify", "theorem3", "--n", "3", "--k", "-1"], "--k"),
         (["verify", "theorem3", "--n", "three"], "--n"),
         (["witness", "max-semigroup", "--n", "0"], "--n"),
+        (["bounds", "0"], "n"),
+        (["bounds", "-1"], "n"),
     ],
-    ids=["limit", "workers", "samples", "prop2-n", "k", "n-not-int", "witness-n"],
+    ids=[
+        "limit", "workers", "samples", "prop2-n", "k", "n-not-int", "witness-n",
+        "bounds-n", "bounds-negative",
+    ],
 )
 def test_counts_below_one_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

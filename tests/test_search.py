@@ -601,6 +601,28 @@ def test_run_sharded_honours_limit():
     assert _summary_without_params(summary) == _summary_without_params(single.summary_dict())
 
 
+@pytest.fixture(scope="module")
+def sampled_converse_n4k3():
+    return find_converse_counterexamples(4, 3, mode="sample", samples=20_000, seed=1, timestamp="t")
+
+
+@pytest.mark.parametrize("limit, scanned, tested", [(1, 295, 167), (5, 1603, 948)])
+def test_sampled_converse_under_a_limit(sampled_converse_n4k3, limit, scanned, tested):
+    """Sample mode stops at the draw whose finding reaches the limit: its
+    counts are those of a run that draws no further."""
+    kwargs = dict(mode="sample", seed=1, timestamp="t")
+    limited = find_converse_counterexamples(4, 3, samples=20_000, limit=limit, **kwargs)
+    assert limited.findings == sampled_converse_n4k3.findings[:limit]
+    assert (limited.scanned, limited.tested) == (scanned, tested)
+    cut = find_converse_counterexamples(4, 3, samples=scanned, **kwargs)
+    assert list(cut.record_lines()) == list(limited.record_lines())
+    assert cut.tested == tested
+    streamed = run_sharded(
+        find_converse_counterexamples, 4, 3, workers=1, samples=20_000, limit=limit, **kwargs
+    )
+    assert list(itertools.chain.from_iterable(streamed)) == list(limited.to_jsonl_lines())
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Runs ``run_sharded``'s shards in process, one after another; the

@@ -19,6 +19,7 @@ from atomata import (
     preimage_of_set,
 )
 from atomata.errors import DegreeCapError, DegreeMismatchError
+from atomata.stateset import parse_subset_label
 from atomata.transformations import all_transformations, inverse, notation
 
 
@@ -196,3 +197,30 @@ def test_stateset_labels():
     assert StateSet(3, [0, 1, 2]).label() == "012"
     assert StateSet.empty(3).label() == "Φ"
     assert StateSet(12, [0, 11]).label() == "[0,11]"
+
+
+@pytest.mark.parametrize(
+    "text, members",
+    [
+        *((text, [0, 1]) for text in ["01", "{0,1}", "[0,1]", " { 0 , 1 } ", "[1,0]"]),
+        *((text, []) for text in ["phi", "Phi", "PHI", "Φ", "∅", "", "{}", "[]"]),
+    ],
+)
+def test_parse_subset_label_forms(text, members):
+    assert parse_subset_label(text, 3) == StateSet(3, members)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0a", "cannot parse state-set label '0a'"),
+        ("-1", "cannot parse state-set label '-1'"),
+        ("010", "repeated state in label '010'"),
+        ("03", "state 3 out of range for universe of size 3"),
+        ("{0,5}", "state 5 out of range for universe of size 3"),
+    ],
+)
+def test_parse_subset_label_errors(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_subset_label(text, 3)
+    assert str(err.value) == message
