@@ -14,6 +14,7 @@ from .atoms import (
     atom_quotient_complexity,
     atoms_of,
     build_atomaton,
+    is_maximal_atoms,
     membership_in_atom,
 )
 from .automata import (
@@ -27,7 +28,7 @@ from .automata import (
     quotient_complexity,
     reverse,
 )
-from .bounds import is_maximal_atoms, max_atom_complexity, max_over_r
+from .bounds import max_atom_complexity, max_over_r
 from .document import parse_dfa, serialize_dfa
 from .errors import (
     AtomataError,

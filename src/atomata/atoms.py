@@ -55,9 +55,7 @@ class Atomaton:
     def eta(self, s: StateSet, a: str) -> frozenset:
         if a not in self.alphabet:
             raise UnknownLetterError(f"letter {a!r} not in alphabet {list(self.alphabet)}")
-        if not self.has_atom(s):
-            raise NotAnAtomError(f"{s} does not label an atom")
-        return self._labels(self.nfa.eta[(s.bits, a)])
+        return self._labels(self.nfa.eta[(_resolve_label(self, s).bits, a)])
 
     def has_atom(self, s: StateSet) -> bool:
         # bitmasks collide across universes: {0} has bits 1 for every n
@@ -91,25 +89,12 @@ class AtomReport:
 
 
 def build_atomaton(d: Dfa) -> Atomaton:
-    """Reverse, determinize, reverse again; number each atom by its label's bitmask."""
+    """Reverse, determinize, reverse again: the subset labels name the atoms S.bits."""
     dm = minimize(d)
     if dm.n == d.n:
         dm = d  # already minimal: atom labels keep the caller's numbering
-    drd = determinize(reverse(dm))
-    masks = drd.labels  # reverse(dm) has states 0..n-1: bit q is quotient q
-
-    rev = reverse(drd)  # NFA over drd's state indices
-    eta = {
-        (masks[q], a): frozenset(masks[p] for p in rev.eta[(q, a)])
-        for q in range(drd.n)
-        for a in drd.alphabet
-    }
-    initials = frozenset(masks[q] for q in rev.initials)
-    # the final state is the atom containing the empty word, labeled by the
-    # final-state set F; when L is empty that is the negative atom
-    finals = frozenset(masks[q] for q in rev.finals)
-    nfa = Nfa(masks, drd.alphabet, eta, initials, finals)
-    return Atomaton(n=dm.n, alphabet=drd.alphabet, source=dm, nfa=nfa)
+    nfa = reverse(determinize(reverse(dm)))
+    return Atomaton(n=dm.n, alphabet=dm.alphabet, source=dm, nfa=nfa)
 
 
 def _resolve_label(am: Atomaton, s: StateSet) -> StateSet:
@@ -178,6 +163,13 @@ def atoms_of(d: Dfa) -> list[AtomReport]:
             )
         )
     return reports
+
+
+def is_maximal_atoms(d: Dfa) -> tuple[bool, list[AtomReport]]:
+    """Whether a language has all 2^n atoms and each meets its bound, with the reports read."""
+    reports = atoms_of(d)
+    ok = len(reports) == 2 ** reports[0].label.n and all(rep.is_maximal for rep in reports)
+    return ok, reports
 
 
 def atom_count(d: Dfa) -> int:

@@ -25,7 +25,11 @@ Word = Iterable[str]  # sequence of letter names; a plain str iterates per chara
 
 @dataclass(frozen=True)
 class Dfa:
-    """A complete DFA: one total transformation of {0..n-1} per letter."""
+    """A complete DFA: one total transformation of {0..n-1} per letter.
+
+    ``labels[i]``, when given, is the name of state i, which ``reverse``
+    gives that state; ``determinize`` sets the labels to its subset bitmasks.
+    """
 
     n: int
     alphabet: tuple[str, ...]
@@ -115,14 +119,19 @@ class Nfa:
 def reverse(m: Dfa | Nfa) -> Nfa:
     """Swap initial and final states and flip every arc.
 
-    A Dfa's arcs are q —a→ δ_a(q), over states 0..n-1; an Nfa's are its
-    ``eta`` entries.  The flipped arcs are gathered in one dict of sets,
+    A Dfa's arcs are q —a→ δ_a(q), its states named by its ``labels`` (the
+    subset bitmasks of a ``determinize`` output), else 0..n-1; an Nfa's are
+    its ``eta`` entries.  The flipped arcs are gathered in one dict of sets,
     which ``Nfa`` completes and freezes.
     """
     if isinstance(m, Dfa):
-        states = tuple(range(m.n))
-        arcs = {(q, a): (t.map[q],) for a, t in zip(m.alphabet, m.deltas) for q in states}
-        initials, finals = m.finals.members(), (m.initial,)
+        states = m.labels or tuple(range(m.n))
+        arcs = {
+            (p, a): (states[r],)
+            for a, t in zip(m.alphabet, m.deltas)
+            for p, r in zip(states, t.map)
+        }
+        initials, finals = tuple(map(states.__getitem__, m.finals)), (states[m.initial],)
     elif isinstance(m, Nfa):
         states, arcs, initials, finals = m.states, m.eta, m.finals, m.initials
     else:

@@ -1,13 +1,6 @@
 """Closed-form upper bounds on atom quotient complexities."""
 
-from __future__ import annotations
-
 from math import comb
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .atoms import AtomReport
-    from .automata import Dfa
 
 
 def max_atom_complexity(n: int, r: int) -> int:
@@ -40,15 +33,3 @@ def max_over_r(n: int) -> tuple[int, int]:
         if v > best:
             best_r, best = r, v
     return best_r, best
-
-
-def is_maximal_atoms(d: "Dfa") -> tuple[bool, list["AtomReport"]]:
-    """Whether a language has all 2^n atoms and each meets its bound.
-
-    Returns the verdict together with the per-atom reports it was read from.
-    """
-    from .atoms import atoms_of
-
-    reports = atoms_of(d)
-    ok = len(reports) == 2 ** reports[0].label.n and all(rep.is_maximal for rep in reports)
-    return ok, reports

@@ -10,7 +10,7 @@ from dataclasses import replace
 from . import search
 from .atoms import atom_minimal_dfa, atoms_of, build_atomaton
 from .automata import determinize, minimize, quotient_complexity, reverse
-from .bounds import max_atom_complexity, max_over_r
+from .bounds import max_atom_complexity
 from .document import parse_dfa, serialize_dfa
 from .errors import AtomataError
 from .intervals import interval_reach_report
@@ -202,8 +202,8 @@ def cmd_atomaton(args) -> int:
 def cmd_bounds(args) -> int:
     n = args.n
     rows = [{"r": r, "bound": max_atom_complexity(n, r)} for r in range(n + 1)]
-    r_star, value = max_over_r(n)
-    data = {"n": n, "rows": rows, "max": {"r": r_star, "value": value}}
+    top = max(rows, key=lambda row: row["bound"])  # the first maximum: ties go to the smaller r
+    data = {"n": n, "rows": rows, "max": {"r": top["r"], "value": top["bound"]}}
 
     def render(data):
         print(f"n = {data['n']}")

@@ -129,17 +129,18 @@ def format_subset_label(s: StateSet) -> str:
 
 
 def parse_subset_label(text: str, n: int) -> StateSet:
-    """Inverse of :func:`format_subset_label`; also accepts "phi" and "{0,1}"."""
+    """Inverse of :func:`format_subset_label`; also accepts "phi" and "{0,1}", checked alike."""
     text = text.strip()
     if text in ("Φ", "phi", "Phi", "PHI", "∅", ""):
         return StateSet.empty(n)
-    if text.startswith("[") or text.startswith("{"):
-        body = text.strip("[]{}").strip()
-        members = [int(tok) for tok in body.split(",") if tok.strip()] if body else []
-        return StateSet(n, members)
-    if not text.isdigit():
+    if text[0] + text[-1] in ("[]", "{}"):
+        body = text[1:-1].strip()
+        tokens = [tok.strip() for tok in body.split(",")] if body else []
+    else:
+        tokens = list(text)
+    if not all(tok.isdecimal() for tok in tokens):
         raise ValueError(f"cannot parse state-set label {text!r}")
-    members = [int(ch) for ch in text]
+    members = [int(tok) for tok in tokens]
     if len(set(members)) != len(members):
         raise ValueError(f"repeated state in label {text!r}")
     return StateSet(n, members)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from atomata import Dfa, StateSet, Transformation
+from atomata import Dfa, Nfa, StateSet, Transformation, determinize, minimize, reverse
 from atomata.search import (
     _check_enum_caps,
     _make_dfa,
@@ -144,6 +144,27 @@ def reference_determinize(m):
     )
     finals = StateSet(n, (i for i, sub in enumerate(order) if sub & m.finals))
     return Dfa(n, m.alphabet, deltas, 0, finals, labels=tuple(order))
+
+
+def reference_atomaton_nfa(d):
+    """The atomaton's NFA built by re-keying every arc of the second reversal
+    by the middle DFA's subset bitmasks, as the package did before ``reverse``
+    named a labelled DFA's states by its labels: the oracle for
+    ``build_atomaton``."""
+    dm = minimize(d)
+    if dm.n == d.n:
+        dm = d
+    drd = determinize(reverse(dm))
+    masks = drd.labels
+    rev = reverse(Dfa(drd.n, drd.alphabet, drd.deltas, drd.initial, drd.finals))
+    eta = {
+        (masks[q], a): frozenset(masks[p] for p in rev.eta[(q, a)])
+        for q in range(drd.n)
+        for a in drd.alphabet
+    }
+    initials = frozenset(masks[q] for q in rev.initials)
+    finals = frozenset(masks[q] for q in rev.finals)
+    return Nfa(masks, drd.alphabet, eta, initials, finals)
 
 
 def reference_minimize(d):

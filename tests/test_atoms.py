@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import pytest
@@ -19,7 +20,8 @@ from atomata import (
     reverse,
 )
 from atomata.errors import NotAnAtomError, UnknownLetterError
-from conftest import make_dfa, random_dfas
+from atomata.search import witness_max_semigroup
+from conftest import make_dfa, random_dfas, reference_atomaton_nfa
 
 
 def _sets(n, members):
@@ -42,6 +44,16 @@ def test_atomaton_matches_golden_table(ex1):
         for a, collection in row.items():
             got = {frozenset(t.members()) for t in am.eta(s, a)}
             assert got == collection, (sub, a)
+
+
+def test_atomaton_equals_the_rekeyed_reference(ex1):
+    """reverse(determinize(reverse(·))) with the subset labels as state names
+    is the NFA that re-keying every arc of the second reversal built."""
+    randoms = list(random_dfas(seed=41, count=40, max_n=4))
+    assert any(minimize(d).n < d.n for d in randoms)  # some are not minimal
+    assert any(len(atoms_of(d)) < 2 ** minimize(d).n for d in randoms)  # some lack atoms
+    for d in [ex1, *(witness_max_semigroup(n) for n in range(2, 7)), *randoms]:
+        assert build_atomaton(d).nfa == reference_atomaton_nfa(d)
 
 
 def test_atomaton_spot_cells(ex1):
@@ -120,21 +132,26 @@ def test_atom_count_equals_reverse_complexity():
 
 
 def test_atom_minimal_dfa_errors(ex1):
-    with pytest.raises(NotAnAtomError):
+    other_universe = "StateSet(4, {0}) lives in a universe of size 4, expected 3"
+    with pytest.raises(NotAnAtomError, match=re.escape(other_universe)):
         atom_minimal_dfa(ex1, StateSet(4, [0]))
     # StateSet(4, [0]) has the bits of StateSet(3, [0]), an atom of ex1
     am = build_atomaton(ex1)
     assert am.has_atom(StateSet(3, [0]))
     assert not am.has_atom(StateSet(4, [0]))
-    with pytest.raises(NotAnAtomError):
+    with pytest.raises(NotAnAtomError, match=re.escape(other_universe)):
         am.eta(StateSet(4, [0]), "a")
     with pytest.raises(ValueError):
         interval_reach_count(ex1, StateSet(4, [0]))
-    d2 = make_dfa(2, [(0, 1), (0, 0)], finals=[1])
-    labels = {s.label() for s in build_atomaton(d2).states}
-    assert "01" not in labels  # {0,1} is not an atom of this language
-    with pytest.raises(NotAnAtomError):
-        atom_minimal_dfa(d2, StateSet(2, [0, 1]))
+    # minimal, two states; the words a, aa, ... lie in both quotients
+    d2 = make_dfa(2, [(1, 1)], finals=[1])
+    am2 = build_atomaton(d2)
+    assert {s.label() for s in am2.states} == {"1", "01"}
+    not_an_atom = "0 does not label an atom of this language"
+    with pytest.raises(NotAnAtomError, match=not_an_atom):
+        atom_minimal_dfa(d2, StateSet(2, [0]))
+    with pytest.raises(NotAnAtomError, match=not_an_atom):
+        am2.eta(StateSet(2, [0]), "a")
 
 
 def test_atomaton_eta_refuses_unknown_letters(ex1):
@@ -153,8 +170,6 @@ def test_atom_complexities_example1(ex1):
 def test_atom_determinization_already_minimal(ex1):
     """``atoms_of`` counts each atom's determinization unminimized; the
     minimized DFA of ``atom_minimal_dfa`` is the oracle."""
-    from atomata.search import witness_max_semigroup
-
     inputs = [ex1, *random_dfas(seed=51, count=40, max_n=4)]
     inputs += [witness_max_semigroup(5), witness_max_semigroup(6)]
     with warnings.catch_warnings():
@@ -193,11 +208,12 @@ def test_membership_examples(ex1):
         if bits != 0b100:
             assert not membership_in_atom(ex1, StateSet.from_bits(3, bits), "")
     assert membership_in_atom(ex1, StateSet(3, [1]), "b")
+    with pytest.raises(ValueError) as err:
+        membership_in_atom(ex1, StateSet(4, [0]), "b")
+    assert str(err.value) == "state set universe 4 does not match 3 quotients"
 
 
 def test_full_semigroup_top_atom_hits_power_bound():
-    from atomata.search import witness_max_semigroup
-
     for n in (2, 3, 4):
         d = witness_max_semigroup(n)
         assert atom_quotient_complexity(d, StateSet.full(n)) == 2**n - 1

@@ -136,6 +136,23 @@ def test_reverse_one_state_self_loop():
     assert r.eta[(0, "a")] == frozenset({0})
 
 
+def test_reverse_names_a_determinize_output_by_its_labels(ex1):
+    for d in [ex1, *random_dfas(seed=14, count=40)]:
+        det = determinize(reverse(d))
+        rev = reverse(det)
+        assert rev.states == det.labels
+        assert rev.initials == {det.labels[q] for q in det.finals}
+        assert rev.finals == {det.labels[det.initial]}
+        flipped = {(q, a, p) for (q, a), ps in rev.eta.items() for p in ps}
+        assert flipped == {
+            (det.labels[t.map[q]], a, det.labels[q])
+            for a, t in zip(det.alphabet, det.deltas)
+            for q in range(det.n)
+        }
+        # determinizing again: bit j of a label stands for rev.states[j]
+        check_kernels(rev)
+
+
 def test_reverse_reverse_language(ex1):
     rr = determinize(reverse(determinize(reverse(ex1))))
     assert is_isomorphic(rr, ex1)
@@ -473,6 +490,8 @@ def test_accepts_refuses_unknown_letters_and_non_automata(ex1):
         accepts(reverse(ex1), "ax")
     with pytest.raises(TypeError, match="cannot run str"):
         accepts("ab", "ab")
+    with pytest.raises(TypeError, match="cannot reverse int"):
+        reverse(42)
 
 
 def test_is_minimal(ex1):

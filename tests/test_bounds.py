@@ -37,6 +37,8 @@ def test_range_errors():
         max_atom_complexity(3, -1)
     with pytest.raises(ValueError):
         max_atom_complexity(0, 0)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        max_over_r(0)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

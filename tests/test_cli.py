@@ -207,6 +207,18 @@ def test_atoms_table_and_single_atom(capsys, tmp_path, monkeypatch):
     assert "error" in err
 
 
+def test_atoms_refuses_labels_that_name_no_atom(capsys, tmp_path):
+    path = tmp_path / "d2.dfa"
+    # its atoms are 1 and 01: every non-empty word lies in both quotients
+    path.write_text("states: 2\nalphabet: a\ninitial: 0\nfinal: 1\na: 1 1\n")
+    for label, message in [
+        ("0", "0 does not label an atom of this language"),
+        ("[0,0]", "repeated state in label '[0,0]'"),
+    ]:
+        code, out, err = _run(capsys, ["atoms", str(path), "--atom", label])
+        assert (code, out, err) == (1, "", f"atomata: error: {message}\n")
+
+
 def test_atomaton_table_matches_golden(capsys, tmp_path):
     path = tmp_path / "ex1.dfa"
     path.write_text(G.FIXTURE_TEXT)
@@ -240,6 +252,25 @@ def test_bounds_table(capsys):
     data = json.loads(out)
     assert data["rows"][2] == {"r": 2, "bound": 43}
     assert data["max"] == {"r": 2, "value": 43}
+
+
+def test_bounds_computes_each_bound_once(capsys, monkeypatch):
+    """The maximum is read off the rows: f(6, r) once for each r = 0..6."""
+    import atomata.bounds
+    import atomata.cli
+
+    calls = []
+    real = atomata.bounds.max_atom_complexity
+
+    def counted(n, r):
+        calls.append((n, r))
+        return real(n, r)
+
+    monkeypatch.setattr(atomata.bounds, "max_atom_complexity", counted)
+    monkeypatch.setattr(atomata.cli, "max_atom_complexity", counted)
+    code, out, _ = _run(capsys, ["bounds", "6"])
+    assert code == 0 and out.endswith("max over r: 501 at r = 3\n")
+    assert calls == [(6, r) for r in range(7)]
 
 
 def test_intervals_command(capsys, tmp_path):
@@ -543,6 +574,29 @@ def test_cli_module_runs_without_runpy_warning():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_package_imports_form_no_cycle():
+    """Every ``from .x import …`` and ``from . import x`` in the package counts,
+    at any depth: inside functions and ``TYPE_CHECKING`` blocks too."""
+    package = Path(atomata.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    imports = {}
+    for name in modules:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(a.name if a.name in modules else "__init__" for a in node.names)
+        imports[name] = targets
+    # peel off the modules that import none of those left; a cycle is what stays
+    while leaves := {m for m, targets in imports.items() if not targets & imports.keys()}:
+        for m in leaves:
+            del imports[m]
+    assert not imports, f"modules on or above an import cycle: {sorted(imports)}"
 
 
 # sha256 of stdout, each recorded before the change it guards: the first

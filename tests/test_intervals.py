@@ -47,6 +47,9 @@ def test_interval_basics():
     point = Interval(_s(3, []), _s(3, []))
     assert point.type == (0, 0) and point.size() == 1
 
+    with pytest.raises(ValueError, match="^interval bounds must share a universe$"):
+        Interval(_s(3, [0]), _s(4, [0]))
+
 
 # --- single-letter transitions -----------------------------------------------
 

@@ -220,6 +220,22 @@ def test_witness_max_semigroup_is_full(n):
     assert syntactic_complexity(w) == n**n
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: witness_max_semigroup(0), "n must be >= 1, got 0"),
+        (lambda: verify_theorem3(0, 1), "n must be >= 1, got 0"),
+        (lambda: verify_theorem3(2, 1, mode="bogus"), "unknown mode 'bogus'"),
+        (lambda: verify_prop1(2, mode="bogus"), "unknown mode 'bogus'"),
+    ],
+    ids=["witness-n0", "theorem3-n0", "theorem3-mode", "prop1-mode"],
+)
+def test_campaign_arguments_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_example1_fixture(ex1):
     assert example1() == ex1
     assert syntactic_complexity(ex1) == 27

@@ -232,6 +232,10 @@ def test_word_witnesses(ex1):
         w = sg.witness(t)
         assert w, "non-empty words only"
         assert ex1.transform_of_word(w) == t
+    plain = transition_semigroup(ex1)
+    for read in (lambda: plain.witness(identity(3)), plain.word_witnesses):
+        with pytest.raises(ValueError, match="^closure was computed without witnesses$"):
+            read()
 
 
 def test_word_for_absent():

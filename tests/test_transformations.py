@@ -82,6 +82,41 @@ def test_constructor_validation():
         identity(99)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Transformation([]), ValueError, "transformation degree must be positive"),
+        (lambda: Transformation([0, 3]), ValueError, "entry 3 out of range for degree 2"),
+        (
+            lambda: make_transposition(3, 1, 1),
+            ValueError,
+            "a transposition swaps two distinct elements",
+        ),
+        (lambda: make_constant(3, 5), ValueError, "index 5 out of range for degree 3"),
+        (
+            lambda: StateSet.from_bits(3, 8),
+            ValueError,
+            "bitmask 0x8 out of range for universe of size 3",
+        ),
+        (
+            lambda: apply_to_set(identity(3), StateSet(4, [0])),
+            DegreeMismatchError,
+            "degree mismatch: 3 vs 4",
+        ),
+        (
+            lambda: preimage_of_set(identity(3), StateSet(4, [0])),
+            DegreeMismatchError,
+            "degree mismatch: 3 vs 4",
+        ),
+    ],
+    ids=["empty", "entry", "transposition", "constant", "from-bits", "apply", "preimage"],
+)
+def test_bad_arguments_are_refused(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_image_coimage():
     d = make_constant(3, 1)
     assert image(d) == StateSet(3, [1])
@@ -171,6 +206,7 @@ def test_notation():
     assert notation(make_cycle(4, (0, 1, 2, 3))) == "(0,1,2,3)"
     assert notation(make_transposition(3, 1, 2)) == "(1,2)"
     assert notation(identity(3)) == "[0 1 2]"
+    assert notation(identity(1)) == "(Q->0)"
     assert notation(Transformation((1, 0, 0))) == "[1 0 0]"
 
 
@@ -218,6 +254,11 @@ def test_parse_subset_label_forms(text, members):
         ("010", "repeated state in label '010'"),
         ("03", "state 3 out of range for universe of size 3"),
         ("{0,5}", "state 5 out of range for universe of size 3"),
+        ("[0,0]", "repeated state in label '[0,0]'"),
+        ("[0,1", "cannot parse state-set label '[0,1'"),
+        ("{0,,1}", "cannot parse state-set label '{0,,1}'"),
+        ("[0,1}", "cannot parse state-set label '[0,1}'"),
+        ("{0,x}", "cannot parse state-set label '{0,x}'"),
     ],
 )
 def test_parse_subset_label_errors(text, message):
