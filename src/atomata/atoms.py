@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import Dfa, Nfa, Word, determinize, minimize, reverse
-from .bounds import max_atom_complexity
+from .bounds import max_atom_complexities
 from .errors import NotAnAtomError, UnknownLetterError
 from .stateset import StateSet
 
@@ -143,11 +143,12 @@ def atoms_of(d: Dfa) -> list[AtomReport]:
     am = build_atomaton(d)
     n = am.n
     nonempty = bool(am.source.finals)
+    bounds = max_atom_complexities(n)
     reports = []
     for s in am.states:
         r = n - len(s)
         complexity = determinize(am.nfa, initials=[s.bits]).n
-        bound = max_atom_complexity(n, r)
+        bound = bounds[r]
         reports.append(
             AtomReport(
                 label=s,

@@ -8,6 +8,10 @@ Conventions used throughout:
 * minimization returns the canonical form: states numbered breadth-first
   from the initial state with letters in alphabet order, so isomorphic
   minimal DFAs are equal.
+
+Each construction is one raw kernel on maps and bitmasks (``_subset_walk``,
+``_minimal_maps``) under an object wrapper (``determinize``, ``minimize``) that
+builds the Dfa from its result; the prop campaigns call the kernels directly.
 """
 
 from __future__ import annotations
@@ -143,38 +147,23 @@ def reverse(m: Dfa | Nfa) -> Nfa:
     return Nfa(states, m.alphabet, eta, initials, finals)
 
 
-def determinize(m: Nfa, initials: Iterable | None = None) -> Dfa:
-    """Subset construction from the initial set; keeps subset labels.
+def _reversal_table(n: int, maps) -> dict[int, int]:
+    """What ``determinize(reverse(d))`` packs for a DFA with these letter maps:
+    q's predecessors under letter a in bits a*n.., keyed by q's own bit."""
+    packed = dict.fromkeys([1 << q for q in range(n)], 0)
+    for shift, m in zip(range(0, len(maps) * n, n), maps):
+        for p, r in enumerate(m):
+            packed[1 << r] |= 1 << p + shift
+    return packed
 
-    ``initials``, when given, is the initial set in place of ``m.initials``.
-    The walk numbers the NFA's states by their position in ``m.states`` and
-    runs on bitmasks over those numbers.  State i of the result carries
-    ``labels[i]``, the bitmask of the subset it stands for: bit j stands for
-    ``m.states[j]``.  The empty subset, if reached, stays as a non-final sink.
-    """
-    width = len(m.states)
-    bit = {q: 1 << i for i, q in enumerate(m.states)}
-    # the successors of a state under every letter packed in one int, letter
-    # a in bits a*width.., keyed by the state's own bit
-    packed = {}
-    for q in m.states:
-        union = 0
-        shift = 0
-        for a in m.alphabet:
-            union |= sum(map(bit.__getitem__, m.eta[(q, a)])) << shift
-            shift += width
-        packed[bit[q]] = union
-    shifts = range(0, len(m.alphabet) * width, width)
+
+def _subset_walk(packed: dict[int, int], width: int, letters: int, init: int):
+    """Subset construction over ``width`` states; ``packed[1 << j]`` holds j's
+    successors, letter a in bits a*width...  Returns the subsets reachable from
+    ``init`` in breadth-first order, and per letter each one's target index."""
+    shifts = range(0, letters * width, width)
     full = (1 << width) - 1
-    if initials is None:
-        initials = m.initials
-    else:
-        initials = frozenset(initials)
-        if not bit.keys() >= initials:
-            raise ValueError("initial states must be states")
-    init = sum(map(bit.__getitem__, initials))
-    order = [init]
-    index = {init: 0}
+    order, index = [init], {init: 0}
     cols: list[list[int]] = [[] for _ in shifts]
     for subset in order:
         union = 0
@@ -190,24 +179,46 @@ def determinize(m: Nfa, initials: Iterable | None = None) -> Dfa:
                 index[target] = len(order)
                 col.append(len(order))
                 order.append(target)
+    return order, cols
+
+
+def determinize(m: Nfa, initials: Iterable | None = None) -> Dfa:
+    """Subset construction from the initial set; keeps subset labels.
+
+    ``initials``, when given, is the initial set in place of ``m.initials``.
+    The walk numbers the NFA's states by their position in ``m.states`` and
+    runs on bitmasks over those numbers.  State i of the result carries
+    ``labels[i]``, the bitmask of the subset it stands for: bit j stands for
+    ``m.states[j]``.  The empty subset, if reached, stays as a non-final sink.
+    """
+    width = len(m.states)
+    bit = {q: 1 << i for i, q in enumerate(m.states)}
+    # q's successors under every letter in one int keyed by q's own bit, a in bits a*width..
+    packed = {}
+    for q in m.states:
+        union = shift = 0
+        for a in m.alphabet:
+            union |= sum(map(bit.__getitem__, m.eta[(q, a)])) << shift
+            shift += width
+        packed[bit[q]] = union
+    if initials is None:
+        initials = m.initials
+    else:
+        initials = frozenset(initials)
+        if not bit.keys() >= initials:
+            raise ValueError("initial states must be states")
+    order, cols = _subset_walk(packed, width, len(m.alphabet), sum(map(bit.__getitem__, initials)))
     n = len(order)
     fmask = sum(map(bit.__getitem__, m.finals))
     finals = StateSet(n, (i for i, s in enumerate(order) if s & fmask))
     return Dfa(n, m.alphabet, tuple(map(Transformation, cols)), 0, finals, labels=tuple(order))
 
 
-def minimize(d: Dfa) -> Dfa:
-    """Canonical minimal DFA: language-equivalent, reachable, no equal states.
-
-    Partition refinement, then breadth-first renumbering of the classes
-    reachable from the initial one; the result is the same object for any
-    two language-equal inputs over the same alphabet.
-    """
-    maps = [t.map for t in d.deltas]
-    fbits = d.finals.bits
-    # Moore refinement over every state: unreachable ones only add classes
-    # that the renumbering below never reaches
-    cls = [fbits >> q & 1 for q in range(d.n)]
+def _minimal_maps(n: int, maps, fbits: int, initial: int = 0):
+    """The canonical minimal DFA as ``(maps, fbits)``: Moore refinement over
+    every state (unreachable ones only add classes that the renumbering never
+    reaches), then breadth-first renumbering from the initial state's class."""
+    cls = [fbits >> q & 1 for q in range(n)]
     ncls = len(set(cls))
     while True:
         # a state's signature: its class, then its successors' classes
@@ -215,14 +226,14 @@ def minimize(d: Dfa) -> Dfa:
         sigs = dict(zip(dict.fromkeys(keys), count()))
         cls = list(map(sigs.__getitem__, keys))
         # stable once no class splits, or once every class is one state
-        if len(sigs) == ncls or len(sigs) == d.n:
+        if len(sigs) == ncls or len(sigs) == n:
             break
         ncls = len(sigs)
 
     # equal states have equal successors' classes, so any member of a class
     # can stand for it
-    rep = dict(zip(cls, range(d.n)))
-    corder = [cls[d.initial]]
+    rep = dict(zip(cls, range(n)))
+    corder = [cls[initial]]
     renum = {corder[0]: 0}
     for c in corder:
         q = rep[c]
@@ -231,12 +242,18 @@ def minimize(d: Dfa) -> Dfa:
             if c2 not in renum:
                 renum[c2] = len(corder)
                 corder.append(c2)
-    nn = len(corder)
-    deltas = tuple(
-        Transformation(tuple([renum[cls[m[rep[c]]]] for c in corder])) for m in maps
-    )
-    finals = StateSet(nn, (renum[c] for c in corder if fbits >> rep[c] & 1))
-    return Dfa(nn, d.alphabet, deltas, 0, finals)
+    reps = [rep[c] for c in corder]
+    finals = sum(1 << i for i, q in enumerate(reps) if fbits >> q & 1)
+    return tuple(tuple([renum[cls[m[q]]] for q in reps]) for m in maps), finals
+
+
+def minimize(d: Dfa) -> Dfa:
+    """Canonical minimal DFA: language-equivalent, reachable, no equal states,
+    numbered breadth-first, so any two language-equal inputs over the same
+    alphabet give the same object."""
+    maps, fbits = _minimal_maps(d.n, [t.map for t in d.deltas], d.finals.bits, d.initial)
+    nn = len(maps[0])
+    return Dfa(nn, d.alphabet, tuple(map(Transformation, maps)), 0, StateSet.from_bits(nn, fbits))
 
 
 def quotient_complexity(d: Dfa) -> int:

@@ -10,7 +10,7 @@ from dataclasses import replace
 from . import search
 from .atoms import atom_minimal_dfa, atoms_of, build_atomaton
 from .automata import determinize, minimize, quotient_complexity, reverse
-from .bounds import max_atom_complexity
+from .bounds import MAX_BOUNDS_N, max_atom_complexities
 from .document import parse_dfa, serialize_dfa
 from .errors import AtomataError
 from .intervals import interval_reach_report
@@ -201,7 +201,9 @@ def cmd_atomaton(args) -> int:
 
 def cmd_bounds(args) -> int:
     n = args.n
-    rows = [{"r": r, "bound": max_atom_complexity(n, r)} for r in range(n + 1)]
+    if n > MAX_BOUNDS_N:
+        raise ValueError(f"bounds {n} is over the cap: n must be at most {MAX_BOUNDS_N}")
+    rows = [{"r": r, "bound": bound} for r, bound in enumerate(max_atom_complexities(n))]
     top = max(rows, key=lambda row: row["bound"])  # the first maximum: ties go to the smaller r
     data = {"n": n, "rows": rows, "max": {"r": top["r"], "value": top["bound"]}}
 

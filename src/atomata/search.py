@@ -44,9 +44,9 @@ from functools import lru_cache, partial
 from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .atoms import _reachable_collections, atom_count
-from .automata import Dfa, determinize, quotient_complexity, reverse
-from .bounds import max_atom_complexity
+from .atoms import _reachable_collections
+from .automata import Dfa, _minimal_maps, _reversal_table, _subset_walk
+from .bounds import max_atom_complexities
 from .document import serialize_dfa
 from .errors import EnumerationCapError
 from .semigroup import _close, _generates_full_raw, _units, syntactic_complexity
@@ -491,9 +491,25 @@ def _file_record(report: CampaignReport, d: Dfa, found: tuple) -> bool:
     return len(records) >= limit
 
 
+def _atom_count_raw(n: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> int:
+    """``atom_count`` with initial state 0: minimize, then walk the reversal's subsets."""
+    maps, fbits = _minimal_maps(n, maps, fbits)
+    n = len(maps[0])
+    return len(_subset_walk(_reversal_table(n, maps), n, len(maps), fbits)[0])
+
+
+def _reverse_complexity_raw(n: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> int:
+    """Quotient complexity of the reverse language, with initial state 0:
+    walk the reversal's subsets, then minimize; final subsets hold state 0."""
+    order, cols = _subset_walk(_reversal_table(n, maps), n, len(maps), fbits)
+    rfbits = sum(1 << i for i, s in enumerate(order) if s & 1)
+    return len(_minimal_maps(len(order), cols, rfbits)[0][0])
+
+
 def _atom_bounds(n: int) -> tuple[int, ...]:
     """Complexity bound of the atom labeled S, indexed by S's bitmask."""
-    return tuple(max_atom_complexity(n, n - s.bit_count()) for s in range(1 << n))
+    row = max_atom_complexities(n)
+    return tuple(row[n - s.bit_count()] for s in range(1 << n))
 
 
 def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
@@ -739,20 +755,16 @@ def verify_prop1(
     if mode not in ("witness", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     report = CampaignReport(f"prop1-n{n}-{mode}", mode, {"n": n, "k": k}, timestamp=_now(timestamp))
-
-    def reverse_complexity(d: Dfa) -> int:
-        return quotient_complexity(determinize(reverse(d)))
-
     w = witness_max_semigroup(n)
     report.scanned += 1
     report.tested += 1
-    rev_qc = reverse_complexity(w)
+    rev_qc = _reverse_complexity_raw(n, tuple(t.map for t in w.deltas), w.finals.bits)
     if rev_qc != 1 << n:
         _file_record(report, w, (n**n, rev_qc, (), False))
     if mode == "exhaustive":
 
         def check(maps: tuple[tuple[int, ...], ...], _pres, fbits: int):
-            rev_qc = reverse_complexity(_make_dfa(n, k, maps, fbits))
+            rev_qc = _reverse_complexity_raw(n, maps, fbits)
             return None if rev_qc == 1 << n else (n**n, rev_qc, (), False)
 
         _scan(report, lambda maps: _generates_full_raw(maps, n), check)
@@ -769,7 +781,9 @@ def verify_prop2(
 ) -> CampaignReport:
     """Atom count must equal the quotient complexity of the reverse, for
     random DFAs.  The two sides go through different pipelines (minimize
-    before reversing vs. after), so the comparison is informative."""
+    before reversing vs. after), so the comparison is informative.  Both run
+    the kernels of ``minimize`` and ``determinize`` on the raw draw of
+    ``random_dfa`` (``_draw``); only a violation's record builds a Dfa."""
     campaign = f"prop2-samples{samples}-seed{seed}"
     params = {
         "samples": samples,
@@ -782,11 +796,10 @@ def verify_prop2(
     for _ in range(samples):
         n = rng.randint(1, max_state_count)
         k = rng.randint(1, max_alphabet)
-        d = random_dfa(rng, n, k)
-        report.scanned += 1
-        report.tested += 1
-        atoms = atom_count(d)
-        rev_qc = quotient_complexity(determinize(reverse(d)))
-        if atoms != rev_qc:
+        maps, fbits = _draw(rng, n, k)
+        atoms = _atom_count_raw(n, maps, fbits)
+        if atoms != _reverse_complexity_raw(n, maps, fbits):
+            d = _make_dfa(n, k, maps, fbits)
             _file_record(report, d, (syntactic_complexity(d), atoms, (), False))
+    report.scanned = report.tested = samples
     return report

@@ -19,7 +19,7 @@ from atomata import (
     reverse,
 )
 from atomata.atoms import build_atomaton
-from atomata.automata import Nfa
+from atomata.automata import Nfa, _minimal_maps, _reversal_table, _subset_walk
 from atomata.errors import UnknownLetterError
 from conftest import (
     make_dfa,
@@ -352,6 +352,28 @@ def test_minimize_matches_reference_with_unreachable_states():
         ]
         d = make_dfa(n, maps, finals=[q for q in range(n) if rng.random() < 0.5])
         assert_same_dfa(minimize(d), reference_minimize(d))
+
+
+def test_raw_kernels_match_references():
+    """``_minimal_maps`` and ``_subset_walk`` with no Dfa around them, from
+    every initial state and with the empty final set too; the random DFAs
+    include one-state ones, and unreachable states come from the initials
+    other than 0 and from the DFA whose letters never leave {0, 1}."""
+    dfas = [*random_dfas(seed=12, count=150, max_n=5), make_dfa(4, [(1, 0, 1, 2)], finals=[3])]
+    assert any(d.n == 1 for d in dfas)
+    for d in dfas:
+        maps = [t.map for t in d.deltas]
+        for fbits in {d.finals.bits, 0}:
+            for initial in range(d.n):
+                finals = StateSet.from_bits(d.n, fbits)
+                want = reference_minimize(replace(d, initial=initial, finals=finals))
+                got = _minimal_maps(d.n, maps, fbits, initial)
+                assert got == (tuple(t.map for t in want.deltas), want.finals.bits)
+            rev = replace(reverse(d), initials=frozenset(StateSet.from_bits(d.n, fbits)))
+            want = reference_determinize(rev)
+            order, cols = _subset_walk(_reversal_table(d.n, maps), d.n, len(maps), fbits)
+            assert [subset_of(rev, s) for s in order] == list(want.labels)
+            assert [tuple(col) for col in cols] == [t.map for t in want.deltas]
 
 
 def test_kernels_match_references_at_one_state():

@@ -1,9 +1,12 @@
+from math import comb
+
 import pytest
 
 from atomata import is_maximal_atoms, max_atom_complexity, max_over_r
 from atomata.search import example1, witness_max_semigroup
 from conftest import make_dfa, random_dfas
 from atomata.atoms import atoms_of
+from atomata.bounds import max_atom_complexities
 
 
 @pytest.mark.parametrize(
@@ -28,6 +31,21 @@ def test_edge_values():
 def test_boundary_cases_power_of_two(n):
     assert max_atom_complexity(n, 0) == 2**n - 1
     assert max_atom_complexity(n, n) == 2**n - 1
+
+
+def paper_bound(n, r):
+    """The paper's double sum, term by term: the oracle for the row."""
+    if r in (0, n):
+        return 2**n - 1
+    return 1 + sum(
+        comb(n, h) * comb(h, k) for k in range(1, r + 1) for h in range(k + 1, k + n - r + 1)
+    )
+
+
+def test_row_equals_the_double_sum():
+    for n in range(1, 40):
+        row = max_atom_complexities(n)
+        assert row == [paper_bound(n, r) for r in range(n + 1)], n
 
 
 def test_range_errors():

@@ -255,22 +255,31 @@ def test_bounds_table(capsys):
 
 
 def test_bounds_computes_each_bound_once(capsys, monkeypatch):
-    """The maximum is read off the rows: f(6, r) once for each r = 0..6."""
+    """The maximum is read off the rows: the row f(6, 0..6) is computed once."""
     import atomata.bounds
     import atomata.cli
 
     calls = []
-    real = atomata.bounds.max_atom_complexity
+    real = atomata.bounds.max_atom_complexities
 
-    def counted(n, r):
-        calls.append((n, r))
-        return real(n, r)
+    def counted(n):
+        calls.append(n)
+        return real(n)
 
-    monkeypatch.setattr(atomata.bounds, "max_atom_complexity", counted)
-    monkeypatch.setattr(atomata.cli, "max_atom_complexity", counted)
+    monkeypatch.setattr(atomata.cli, "max_atom_complexities", counted)
     code, out, _ = _run(capsys, ["bounds", "6"])
     assert code == 0 and out.endswith("max over r: 501 at r = 3\n")
-    assert calls == [(6, r) for r in range(7)]
+    assert calls == [6]
+
+
+def test_bounds_cap(capsys):
+    from atomata.bounds import MAX_BOUNDS_N
+
+    code, out, _ = _run(capsys, ["bounds", str(MAX_BOUNDS_N), "--format", "json"])
+    assert code == 0 and len(json.loads(out)["rows"]) == MAX_BOUNDS_N + 1
+    code, out, err = _run(capsys, ["bounds", str(MAX_BOUNDS_N + 1)])
+    assert code == 1 and out == ""
+    assert f"bounds {MAX_BOUNDS_N + 1} is over the cap: n must be at most {MAX_BOUNDS_N}" in err
 
 
 def test_intervals_command(capsys, tmp_path):

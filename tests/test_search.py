@@ -16,6 +16,7 @@ from atomata import (
     generates_full,
     is_minimal,
     minimize,
+    reverse,
     syntactic_complexity,
     transition_semigroup,
 )
@@ -37,6 +38,7 @@ from atomata.search import (
     all_maps,
     _atom_bounds,
     _atom_complexities,
+    _atom_count_raw,
     _closure_size,
     _estimated_count,
     _eta_tables,
@@ -48,12 +50,16 @@ from atomata.search import (
     _pre_tables,
     _reach_subsets,
     _reachable_bits,
+    _reverse_complexity_raw,
 )
 from atomata.semigroup import _generates_full_raw
 from conftest import (
     enumerate_dfas,
     full_semigroup_transition_tuples,
     make_dfa,
+    random_dfas,
+    reference_determinize,
+    reference_minimize,
     sample_full_semigroup_dfa,
     worklist_closure,
 )
@@ -164,8 +170,21 @@ def test_engine_atom_count_matches_public():
         d = random_dfa(rng, n, rng.randint(1, 3))
         if not is_minimal(d):
             continue
-        maps = tuple(t.map for t in d.deltas)
-        assert _reach_subsets(n, _pre_tables(n, maps), d.finals.bits) == atom_count(d)
+        maps, fbits = tuple(t.map for t in d.deltas), d.finals.bits
+        atoms = _reach_subsets(n, _pre_tables(n, maps), fbits)
+        assert atoms == atom_count(d) == _atom_count_raw(n, maps, fbits)
+
+
+def test_prop_kernels_match_the_references():
+    """The prop campaigns' helpers on raw maps against the frozenset/dict
+    references, on minimal and non-minimal DFAs alike."""
+    for d in random_dfas(seed=6, count=400, max_n=5):
+        n, maps, fbits = d.n, tuple(t.map for t in d.deltas), d.finals.bits
+        atoms = reference_determinize(reverse(reference_minimize(d))).n
+        assert _atom_count_raw(n, maps, fbits) == atoms
+        assert _reverse_complexity_raw(n, maps, fbits) == reference_minimize(
+            reference_determinize(reverse(d))
+        ).n
 
 
 def test_engine_atom_complexities_match_public():
@@ -535,8 +554,10 @@ def test_prop2_violation_records_are_pinned(monkeypatch):
     # one more than the true reverse complexity makes every sample a
     # violation, so the violation records are written; digest of the JSONL
     # recorded before the campaigns filed their records through one function
-    true_complexity = search.quotient_complexity
-    monkeypatch.setattr(search, "quotient_complexity", lambda d: true_complexity(d) + 1)
+    true_complexity = search._reverse_complexity_raw
+    monkeypatch.setattr(
+        search, "_reverse_complexity_raw", lambda n, maps, fbits: true_complexity(n, maps, fbits) + 1
+    )
     rep = verify_prop2(samples=300, seed=5, timestamp="T")
     assert len(rep.violations) == 300 and rep.findings == []
     record = rep.violations[0]
