@@ -332,9 +332,16 @@ def count(text: str) -> int:
     return value
 
 
+def letter_count(text: str) -> int:
+    """Type of ``--k``: a count of at most the 26 letters of ``search.LETTER_NAMES``."""
+    if (value := count(text)) > len(search.LETTER_NAMES):
+        raise argparse.ArgumentTypeError(f"must be at most {len(search.LETTER_NAMES)}, got {value}")
+    return value
+
+
 def _add_campaign_opts(p) -> None:
     p.add_argument("--n", type=count, required=True)
-    p.add_argument("--k", type=count, default=3)
+    p.add_argument("--k", type=letter_count, default=3)
     p.add_argument("--samples", type=count, default=None)
     p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
     p.add_argument("--workers", type=count, default=1)

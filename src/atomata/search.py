@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache, partial
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .atoms import _reachable_collections
 from .automata import Dfa, _minimal_maps, _reversal_table, _subset_walk
@@ -255,15 +255,34 @@ def _maps_between(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
     return itertools.chain.from_iterable(map(block, range(lo // width, -(-hi // width))))
 
 
-def _draw(rng: random.Random, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Uniform letter maps, then a uniform final-set bitmask, in that order."""
-    maps = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
-    return maps, rng.randrange(1 << n)
+def _below(bits: Callable[[int], int], m: int) -> int:
+    """``rng.randrange(m)``, or ``rng.randint(1, m) - 1``, bit for bit from ``rng.getrandbits``."""
+    if m < 1:
+        raise ValueError(f"empty range: no integer in [0, {m})")
+    r = bits(width := m.bit_length())
+    while r >= m:
+        r = bits(width)
+    return r
+
+
+def _draw(bits: Callable[[int], int], n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Uniform letter maps, then a uniform final-set bitmask, from ``bits = rng.getrandbits``."""
+    width, maps = n.bit_length(), []
+    for _ in range(k):
+        row = []
+        for _ in range(n):
+            r = bits(width)  # _below(bits, n), inlined
+            while r >= n:
+                r = bits(width)
+            row.append(r)
+        maps.append(tuple(row))
+    return tuple(maps), _below(bits, 1 << n)
 
 
 def random_dfa(rng: random.Random, n: int, k: int) -> Dfa:
-    """Uniform over transition tuples and final sets; initial state 0."""
-    return _make_dfa(n, k, *_draw(rng, n, k))
+    """Uniform over transition tuples and final sets; initial state 0.  Drawn through
+    ``rng.getrandbits``, each number as ``rng.randrange`` would draw it from the same seed."""
+    return _make_dfa(n, k, *_draw(rng.getrandbits, n, k))
 
 
 def _make_dfa(n: int, k: int, maps: tuple[tuple[int, ...], ...], fbits: int) -> Dfa:
@@ -582,9 +601,9 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
                             return
                 report.scanned = base + size
     elif report.mode == "sample":
-        rng = random.Random(params["seed"])
+        bits = random.Random(params["seed"]).getrandbits
         for _ in range(params["samples"]):
-            maps, fbits = _draw(rng, n, k)
+            maps, fbits = _draw(bits, n, k)
             report.scanned += 1
             if not letters(maps) or not _is_minimal_raw(n, maps, fbits):
                 continue
@@ -792,11 +811,10 @@ def verify_prop2(
         "max_k": max_alphabet,
     }
     report = CampaignReport(campaign, "sample", params, timestamp=_now(timestamp))
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     for _ in range(samples):
-        n = rng.randint(1, max_state_count)
-        k = rng.randint(1, max_alphabet)
-        maps, fbits = _draw(rng, n, k)
+        n, k = 1 + _below(bits, max_state_count), 1 + _below(bits, max_alphabet)
+        maps, fbits = _draw(bits, n, k)
         atoms = _atom_count_raw(n, maps, fbits)
         if atoms != _reverse_complexity_raw(n, maps, fbits):
             d = _make_dfa(n, k, maps, fbits)

@@ -52,6 +52,14 @@ def random_dfas(seed, count, max_n=4, max_k=3):
         yield random_dfa(rng, n, k)
 
 
+def reference_draw(rng, n, k):
+    """The sampling draw as ``random.Random.randrange`` makes it: a uniform
+    map per letter, then a uniform final-set bitmask.  The oracle for
+    ``search._draw``, which must give the same numbers from a seed."""
+    maps = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
+    return maps, rng.randrange(1 << n)
+
+
 def enumerate_dfas(n, k):
     """Every DFA with states {0..n-1}, k letters, initial 0, in lexicographic
     order: letter transformations vary first (leftmost slowest), then the

@@ -462,6 +462,33 @@ def test_counts_below_one_are_usage_errors(capsys, argv, flag):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+CAMPAIGNS = [
+    ["verify", "theorem3", "--n", "1", "--samples", "5"],
+    ["verify", "prop1", "--n", "1"],
+    ["verify", "prop2", "--n", "2", "--samples", "3"],
+    ["search", "converse", "--n", "1", "--samples", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", CAMPAIGNS, ids=lambda argv: "-".join(argv[:2]))
+def test_k_past_the_letter_names_is_a_usage_error(capsys, argv):
+    """26 letter names: every campaign refuses --k 27 before it draws or scans."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--k", "27"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --k: must be at most 26, got 27" in err
+
+
+@pytest.mark.parametrize("argv", CAMPAIGNS, ids=lambda argv: "-".join(argv[:2]))
+def test_k_of_26_letters_runs(capsys, argv):
+    code, out, _ = _run(capsys, [*argv, "--k", "26", "--timestamp", "t"])
+    assert code == 0
+    params = json.loads(out.splitlines()[-1])["params"]
+    assert params.get("k", params.get("max_k")) == 26
+
+
 def test_semigroup_witnesses_closes_once(capsys, monkeypatch, tmp_path):
     import atomata.semigroup as semigroup
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -39,9 +40,11 @@ from atomata.search import (
     _atom_bounds,
     _atom_complexities,
     _atom_count_raw,
+    _below,
     _closure_size,
     _estimated_count,
     _eta_tables,
+    _draw,
     _is_minimal_raw,
     _make_dfa,
     _maps_between,
@@ -59,6 +62,7 @@ from conftest import (
     make_dfa,
     random_dfas,
     reference_determinize,
+    reference_draw,
     reference_minimize,
     sample_full_semigroup_dfa,
     worklist_closure,
@@ -215,6 +219,68 @@ def test_engine_eta_tables_match_atomaton():
         for eta, a in zip(etas, d.alphabet):
             for s_bits in range(1 << n):
                 assert eta[s_bits] == sum(1 << p for p in nfa.eta[(s_bits, a)]), (d, s_bits, a)
+
+# --- sampling ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_draw_gives_the_randrange_stream(seed):
+    """``_draw`` and ``random_dfa`` give exactly the DFAs that ``randrange``
+    draws, and leave the rng where it leaves it, so a seed's JSONL does not
+    depend on how the draw is made.  n = 1 takes one bit per try; n = 2, 4
+    and 8 are powers of two; the final set takes n + 1 bits per try."""
+    for n, k in itertools.product(range(1, 9), range(1, 5)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert _draw(rng.getrandbits, n, k) == reference_draw(ref, n, k)
+            assert rng.getstate() == ref.getstate()
+            assert random_dfa(rng, n, k) == _make_dfa(n, k, *reference_draw(ref, n, k))
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("max_n, max_k", [(5, 3), (1, 1), (8, 4), (3, 26)])
+def test_prop2_draws_sizes_as_randint_does(monkeypatch, max_n, max_k):
+    import atomata.search as search
+
+    original, drawn = search._draw, []
+
+    def recorded(bits, n, k):
+        drawn.append((n, k, original(bits, n, k)))
+        return drawn[-1][2]
+
+    monkeypatch.setattr(search, "_draw", recorded)
+    for seed in range(10):
+        drawn.clear()
+        verify_prop2(samples=20, seed=seed, max_state_count=max_n, max_alphabet=max_k, timestamp="t")
+        ref = random.Random(seed)
+        expected = []
+        for _ in range(20):
+            n, k = ref.randint(1, max_n), ref.randint(1, max_k)
+            expected.append((n, k, reference_draw(ref, n, k)))
+        assert drawn == expected
+
+
+class _NoEmptyDraws(random.Random):
+    def getrandbits(self, k):
+        # getrandbits(0) is always 0: a rejection loop on it would never end
+        assert k > 0, "getrandbits(0) drawn"
+        return super().getrandbits(k)
+
+
+def test_empty_ranges_raise(monkeypatch):
+    import atomata.search as search
+
+    for m in (0, -1, -8):
+        with pytest.raises(ValueError, match="empty range"):
+            _below(_NoEmptyDraws(1).getrandbits, m)
+    assert _below(_NoEmptyDraws(1).getrandbits, 1) == 0
+    monkeypatch.setattr(search, "random", types.SimpleNamespace(Random=_NoEmptyDraws))
+    for sizes in ({"max_state_count": 0}, {"max_alphabet": 0}, {"max_state_count": -2}):
+        with pytest.raises(ValueError, match="empty range"):
+            verify_prop2(samples=1, timestamp="t", **sizes)
+    with pytest.raises(ValueError, match="transformation degree must be positive"):
+        random_dfa(random.Random(1), 0, 1)
+
 
 # --- witnesses ---------------------------------------------------------------
 
