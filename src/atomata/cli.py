@@ -287,7 +287,7 @@ def cmd_verify(args) -> int:
             mode="exhaustive" if args.exhaustive else "witness",
             timestamp=args.timestamp,
         )
-    elif args.which == "prop2":
+    else:
         report = search.verify_prop2(
             samples=args.samples or 10_000,
             seed=args.seed or 0,
@@ -295,8 +295,6 @@ def cmd_verify(args) -> int:
             max_alphabet=args.k,
             timestamp=args.timestamp,
         )
-    else:
-        raise AtomataError(f"unknown verification target {args.which!r}")
     return _print_report(report.to_jsonl_lines())
 
 
@@ -305,12 +303,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.which == "example1":
-        d = search.example1()
-    elif args.which == "max-semigroup":
-        d = search.witness_max_semigroup(args.n)
-    else:
-        raise AtomataError(f"unknown witness {args.which!r}")
+    d = search.example1() if args.which == "example1" else search.witness_max_semigroup(args.n)
     print(serialize_dfa(d), end="")
     return 0
 

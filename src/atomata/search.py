@@ -11,15 +11,16 @@ against a plain worklist closure, minimality and the atom count against
 ``minimize`` and ``determinize(reverse(.))``, and the collection walk
 against each atom's determinized atomaton (``atoms_of``).
 
-Both campaigns run in two stages.  The letter stage holds the filters that
-depend on the letter tuple alone (full semigroup or not, reachability) and
-runs once per tuple.  Minimality comes next, with one kernel for every
-mode: the pair graph decides all 2^n final sets of a tuple at once
-(``_minimal_finals``), and a sampled draw reads its one final set off that
-mask.  The final-set stage holds the filters that also depend on the final
-states (the atom count, every atom at its bound) and runs on each minimal
-DFA of a tuple that the letter stage let through, on the preimage tables
-built once for the tuple.
+Every campaign's preconditions are checked before any work (``_admit``).
+Both campaigns run in two stages.  The letter stage holds the filter that
+depends on the letter tuple alone (full semigroup or not) and runs once
+per tuple.  Minimality comes next, with one kernel for every mode:
+reachability and the pair graph decide all 2^n final sets of a tuple at
+once (``_minimal_finals``), and a sampled draw reads its one final set off
+that mask.  The final-set stage holds the filters that also depend on the
+final states (the atom count, every atom at its bound) and runs on each
+minimal DFA of a tuple that the letter stage let through, on the preimage
+tables built once for the tuple.
 
 The converse then asks the letters whether a minimal DFA with them is
 maximally atomic, that is, has all 2^n atoms, each at its bound
@@ -48,8 +49,8 @@ from .atoms import _reachable_collections
 from .automata import Dfa, _minimal_maps, _reversal_table, _subset_walk
 from .bounds import max_atom_complexities
 from .document import serialize_dfa
-from .errors import EnumerationCapError
-from .semigroup import _close, _generates_full_raw, _units, syntactic_complexity
+from .errors import ClosureCapError, EnumerationCapError
+from .semigroup import MAX_CLOSURE, _close, _generates_full_raw, _units, syntactic_complexity
 from .stateset import StateSet
 from .transformations import Transformation, identity, make_cycle, make_singular
 
@@ -58,6 +59,9 @@ LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 # Exhaustive campaigns refuse to scan more DFAs than this: (4^4)^3 * 2^4,
 # the count at n = 4, k = 3.
 MAX_ENUM_DFAS = 1 << 28
+
+# The largest n with n! <= MAX_CLOSURE: every letter stage closes a group of units.
+MAX_CAMPAIGN_N = 10
 
 # Entries kept by each of the engine's per-letter-tuple caches.  Hits come
 # only from the consecutive final-state sets of one letter tuple (sampled
@@ -222,15 +226,21 @@ def witness_max_semigroup(n: int) -> Dfa:
 # enumeration and sampling
 
 
-def _estimated_count(n: int, k: int) -> int:
-    return (n**n) ** k * 2**n
-
-
-def _check_enum_caps(n: int, k: int) -> None:
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    count = _estimated_count(n, k)
-    if count > MAX_ENUM_DFAS:
+def _admit(n: int, k: int, mode: str) -> None:
+    """Refuse a campaign run that cannot start, before any work; each
+    message names the argument and its bound."""
+    if mode not in ("exhaustive", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= k <= len(LETTER_NAMES):
+        raise ValueError(f"k must be between 1 and {len(LETTER_NAMES)}, got {k}")
+    if n > MAX_CAMPAIGN_N:
+        raise ClosureCapError(
+            f"n must be at most {MAX_CAMPAIGN_N}, got {n}: a group of units of degree {n} "
+            f"could reach n! elements, over the closure bound of {MAX_CLOSURE}"
+        )
+    if mode == "exhaustive" and (count := (n**n) ** k * 2**n) > MAX_ENUM_DFAS:
         raise EnumerationCapError(
             f"exhaustive enumeration at n={n}, k={k} is over the cap: "
             f"estimated {count} DFAs, more than {MAX_ENUM_DFAS}"
@@ -306,19 +316,6 @@ def _closure_size(maps: tuple[tuple[int, ...], ...], n: int) -> int:
     return len(_close(maps, n**n)[0])
 
 
-def _reachable_bits(n: int, maps: tuple[tuple[int, ...], ...]) -> int:
-    seen = 1
-    stack = [0]
-    while stack:
-        q = stack.pop()
-        for m in maps:
-            r = m[q]
-            if not seen >> r & 1:
-                seen |= 1 << r
-                stack.append(r)
-    return seen
-
-
 @lru_cache(maxsize=None)
 def _pair_tables(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
     """The state pairs p < q; for each, the mask of the final sets (bit F
@@ -336,18 +333,27 @@ def _pair_tables(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], 
 
 def _minimal_finals(n: int, maps: tuple[tuple[int, ...], ...]) -> int:
     """Mask over the 2^n final sets: bit F is set when the DFA with these
-    letters and final-set bitmask F is minimal.  The caller must know that
-    every state is reachable from 0: the campaigns' full letter tuples
-    reach every state, and the converse letter stage checks reachability.
+    letters, initial state 0 and final-set bitmask F is minimal: 0 when a
+    state is unreachable from 0, and else the rule is the pair graph.
 
-    The rule is the pair graph.  A final set F tells states p != q apart
-    iff some pair {r, s} that a word takes {p, q} to has exactly one
-    member in F (F splits it).  So the final sets that tell p and q apart
-    are the least fixed point of D(p, q) = split(p, q) | OR over letters a
-    of D(a(p), a(q)), where a letter that maps p and q onto one state
-    adds nothing.  The DFA is minimal iff F tells every pair apart: the
-    AND of D over the C(n, 2) pairs, every final set when there are none.
+    A final set F tells states p != q apart iff some pair {r, s} that a
+    word takes {p, q} to has exactly one member in F (F splits it).  So the
+    final sets that tell p and q apart are the least fixed point of
+    D(p, q) = split(p, q) | OR over letters a of D(a(p), a(q)), where a
+    letter that maps p and q onto one state adds nothing.  The DFA is
+    minimal iff F tells every pair apart: the AND of D over the C(n, 2)
+    pairs, every final set when there are none.
     """
+    seen, stack = 1, [0]
+    while stack:
+        q = stack.pop()
+        for m in maps:
+            r = m[q]
+            if not seen >> r & 1:
+                seen |= 1 << r
+                stack.append(r)
+    if seen != (1 << n) - 1:
+        return 0
     pairs, splits, index = _pair_tables(n)
     collapsed = len(pairs)
     # D(p, q) takes in D(a(p), a(q)): one edge per letter
@@ -541,8 +547,8 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
     that was not ruled out, with the tuple's preimage tables
     (``_pre_tables``), built once just before its first visit.  It returns
     None, or the metrics of a DFA worth a record, which ``_file_record``
-    files as every campaign's records are filed.  The scan stops once
-    ``params["limit"]`` findings exist.
+    files as every campaign's records are filed.  ``_admit`` refuses the
+    run before it starts, and the scan stops once ``params["limit"]`` findings exist.
 
     ``report.scanned`` counts every DFA of the space, and
     ``report.tested`` every minimal one among those whose letter tuple
@@ -563,6 +569,7 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
     """
     params = report.params
     n, k = params["n"], params["k"]
+    _admit(n, k, report.mode)
     sigma, filed = tuple(LETTER_NAMES[:k]), [None, ()]  # last letter tuple filed, its deltas
 
     def visit(maps: tuple[tuple[int, ...], ...], pres, fbits: int) -> bool:
@@ -576,7 +583,6 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
         return _file_record(report, Dfa(n, sigma, filed[1], 0, StateSet.from_bits(n, fbits)), found)
 
     if report.mode == "exhaustive":
-        _check_enum_caps(n, k)
         size = 1 << n
         # the shard's block: the first maps i with i * num_shards // n^n == shard
         shard, num_shards = params.get("shard", 0), params.get("num_shards", 1)
@@ -600,7 +606,7 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
                         if visit(maps, pres, fbits):
                             return
                 report.scanned = base + size
-    elif report.mode == "sample":
+    else:
         bits = random.Random(params["seed"]).getrandbits
         for _ in range(params["samples"]):
             maps, fbits = _draw(bits, n, k)
@@ -612,12 +618,31 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
                 continue
             if visit(maps, _pre_tables(n, maps), fbits):
                 return
-    else:
-        raise ValueError(f"unknown mode {report.mode!r}")
 
 
 # ---------------------------------------------------------------------------
 # campaigns
+
+
+def _atom_campaign(
+    name: str, n: int, k: int, mode: str, samples: int, seed: int, timestamp, **params
+) -> tuple[CampaignReport, Callable]:
+    """The report of an admitted theorem3 or converse run, and ``measure(pres,
+    fbits)``: the atom count, each atom's complexity when all 2^n atoms exist
+    (else ``()``), and whether every atom is at its bound."""
+    _admit(n, k, mode)  # before the 2^n bounds
+    if mode == "sample":
+        params.update(samples=samples, seed=seed)
+    name = f"{name}-n{n}k{k}-{mode}"
+    report = CampaignReport(name, mode, {"n": n, "k": k, **params}, timestamp=_now(timestamp))
+    bounds = _atom_bounds(n)
+
+    def measure(pres, fbits: int) -> tuple[int, tuple[int, ...], bool]:
+        atoms = _reach_subsets(n, pres, fbits)
+        comps = _atom_complexities(pres, n) if atoms == 1 << n else ()
+        return atoms, comps, comps == bounds
+
+    return report, measure
 
 
 def verify_theorem3(
@@ -635,19 +660,13 @@ def verify_theorem3(
     2^n atoms, each at its complexity bound.  Violations (none expected for
     n >= 2) are dumped as records; at n = 1 a one-state language has one
     atom, not two, so violations there are expected."""
-    params: dict = {"n": n, "k": k, "shard": shard, "num_shards": num_shards}
-    if mode == "sample":
-        params.update(samples=samples, seed=seed)
-    campaign = f"theorem3-n{n}k{k}-{mode}"
-    report = CampaignReport(campaign, mode, params, timestamp=_now(timestamp))
-    bounds = _atom_bounds(n)
+    report, measure = _atom_campaign(
+        "theorem3", n, k, mode, samples, seed, timestamp, shard=shard, num_shards=num_shards
+    )
 
     def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
-        atoms = _reach_subsets(n, pres, fbits)
-        comps = _atom_complexities(pres, n) if atoms == 1 << n else ()
-        if comps == bounds:
-            return None
-        return n**n, atoms, comps, False
+        atoms, comps, maximal = measure(pres, fbits)
+        return None if maximal else (n**n, atoms, comps, False)
 
     _scan(report, lambda maps: _generates_full_raw(maps, n), check)
     return report
@@ -669,31 +688,25 @@ def find_converse_counterexamples(
     complexity is below n^n.  Findings land in the report together with the
     multiset of syntactic complexities observed among them.
 
-    The letter stage keeps the tuples that reach every state and do not
-    generate T_n.  Each minimal DFA counts in ``tested``; then the letters
-    decide whether it is maximally atomic (``_maximally_atomic_raw``).
-    Most tuples are ruled out there, before any preimage table or atom
-    walk.  The atom count and the walk over every atom confirm each DFA
-    the letters admit, and give its record the measured complexities.  One
-    they refute, where the letter test and the walk disagree, is recorded
-    as a violation; none is expected.
+    The letter stage keeps the tuples that do not generate T_n.  Each
+    minimal DFA counts in ``tested``; then the letters decide whether it is
+    maximally atomic (``_maximally_atomic_raw``).  Most tuples are ruled
+    out there, before any preimage table or atom walk.  The atom count and
+    the walk over every atom confirm each DFA the letters admit, and give
+    its record the measured complexities.  One they refute, where the
+    letter test and the walk disagree, is recorded as a violation; none is
+    expected.
     """
-    params: dict = {"n": n, "k": k, "limit": limit, "shard": shard, "num_shards": num_shards}
-    if mode == "sample":
-        params.update(samples=samples, seed=seed)
-    campaign = f"search-converse-n{n}k{k}-{mode}"
-    report = CampaignReport(campaign, mode, params, timestamp=_now(timestamp))
-    bounds = _atom_bounds(n)
-
-    def letters(maps: tuple[tuple[int, ...], ...]) -> bool:
-        return _reachable_bits(n, maps) == (1 << n) - 1 and not _generates_full_raw(maps, n)
-
-    def check(maps: tuple[tuple[int, ...], ...], pres, fbits: int):
-        atoms = _reach_subsets(n, pres, fbits)
-        comps = _atom_complexities(pres, n) if atoms == 1 << n else ()
-        return _closure_size(maps, n), atoms, comps, comps == bounds
-
-    _scan(report, letters, check, rules_out=lambda maps: not _maximally_atomic_raw(maps, n))
+    report, measure = _atom_campaign(
+        "search-converse", n, k, mode, samples, seed, timestamp,
+        limit=limit, shard=shard, num_shards=num_shards,
+    )
+    _scan(
+        report,
+        lambda maps: not _generates_full_raw(maps, n),
+        lambda maps, pres, fbits: (_closure_size(maps, n), *measure(pres, fbits)),
+        rules_out=lambda maps: not _maximally_atomic_raw(maps, n),
+    )
     hist = Counter(rec.syntactic_complexity for rec in report.findings)
     report.extra["syntactic_complexities"] = {str(s): c for s, c in sorted(hist.items())}
     return report
@@ -724,7 +737,7 @@ def run_sharded(
     if kwargs.get("mode", "exhaustive") != "exhaustive":
         yield campaign_func(n, k, **kwargs).to_jsonl_lines()
         return
-    _check_enum_caps(n, k)
+    _admit(n, k, "exhaustive")
     num_shards = min(n**n, 256)
     run = partial(_run_shard, campaign_func, n, k, dict(kwargs, num_shards=num_shards))
     limit = kwargs.get("limit")
@@ -774,18 +787,16 @@ def verify_prop1(
     if mode not in ("witness", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     report = CampaignReport(f"prop1-n{n}-{mode}", mode, {"n": n, "k": k}, timestamp=_now(timestamp))
+
+    def check(maps: tuple[tuple[int, ...], ...], _pres, fbits: int):
+        rev_qc = _reverse_complexity_raw(n, maps, fbits)
+        return None if rev_qc == 1 << n else (n**n, rev_qc, (), False)
+
     w = witness_max_semigroup(n)
-    report.scanned += 1
-    report.tested += 1
-    rev_qc = _reverse_complexity_raw(n, tuple(t.map for t in w.deltas), w.finals.bits)
-    if rev_qc != 1 << n:
-        _file_record(report, w, (n**n, rev_qc, (), False))
+    report.scanned = report.tested = 1
+    if found := check(tuple(t.map for t in w.deltas), None, w.finals.bits):
+        _file_record(report, w, found)
     if mode == "exhaustive":
-
-        def check(maps: tuple[tuple[int, ...], ...], _pres, fbits: int):
-            rev_qc = _reverse_complexity_raw(n, maps, fbits)
-            return None if rev_qc == 1 << n else (n**n, rev_qc, (), False)
-
         _scan(report, lambda maps: _generates_full_raw(maps, n), check)
     return report
 
@@ -804,12 +815,7 @@ def verify_prop2(
     the kernels of ``minimize`` and ``determinize`` on the raw draw of
     ``random_dfa`` (``_draw``); only a violation's record builds a Dfa."""
     campaign = f"prop2-samples{samples}-seed{seed}"
-    params = {
-        "samples": samples,
-        "seed": seed,
-        "max_n": max_state_count,
-        "max_k": max_alphabet,
-    }
+    params = {"samples": samples, "seed": seed, "max_n": max_state_count, "max_k": max_alphabet}
     report = CampaignReport(campaign, "sample", params, timestamp=_now(timestamp))
     bits = random.Random(seed).getrandbits
     for _ in range(samples):

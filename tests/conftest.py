@@ -5,7 +5,7 @@ import pytest
 
 from atomata import Dfa, Nfa, StateSet, Transformation, determinize, minimize, reverse
 from atomata.search import (
-    _check_enum_caps,
+    _admit,
     _make_dfa,
     all_maps,
     example1,
@@ -64,7 +64,7 @@ def enumerate_dfas(n, k):
     """Every DFA with states {0..n-1}, k letters, initial 0, in lexicographic
     order: letter transformations vary first (leftmost slowest), then the
     final-state bitmask counts up.  Refused past the campaigns' cap."""
-    _check_enum_caps(n, k)
+    _admit(n, k, "exhaustive")
     for combo in itertools.product(all_maps(n), repeat=k):
         for fbits in range(2**n):
             yield _make_dfa(n, k, combo, fbits)

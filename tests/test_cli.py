@@ -801,6 +801,23 @@ def test_caps_refuse_before_any_shard(capsys, monkeypatch, n, k):
     assert f"exhaustive enumeration at n={n}, k={k} is over the cap" in err
 
 
+def test_sampled_campaign_past_the_closure_bound_is_refused_before_any_draw(capsys, monkeypatch):
+    """At n = 11 the letter stage cannot close a group of units; the run
+    used to fail there after 127,416 draws."""
+    import atomata.search as search
+
+    def no_draw(*args):
+        raise AssertionError("a DFA was drawn")
+
+    monkeypatch.setattr(search, "_draw", no_draw)
+    argv = ["search", "converse", "--n", "11", "--k", "3", "--samples", "200000", "--seed", "1"]
+    code, out, err = _run(capsys, argv + ["--timestamp", "T"])
+    assert code == 1
+    assert out == ""
+    assert "atomata: error: n must be at most 10, got 11" in err
+    assert "over the closure bound of 16777216" in err
+
+
 @pytest.mark.parametrize("limit", [[], ["--limit", "100"]], ids=["all", "limit-100"])
 def test_converse_on_two_workers_matches_one(capsys, limit):
     argv = ["search", "converse", "--n", "3", "--k", "3", *limit, "--timestamp", "t0"]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 import types
 
@@ -23,8 +24,9 @@ from atomata import (
 )
 from atomata.cli import parse_dfa
 from atomata.document import serialize_dfa
-from atomata.errors import EnumerationCapError
+from atomata.errors import ClosureCapError, EnumerationCapError
 from atomata.search import (
+    MAX_CAMPAIGN_N,
     MAX_ENUM_DFAS,
     CampaignRecord,
     CampaignReport,
@@ -42,7 +44,6 @@ from atomata.search import (
     _atom_count_raw,
     _below,
     _closure_size,
-    _estimated_count,
     _eta_tables,
     _draw,
     _is_minimal_raw,
@@ -52,10 +53,9 @@ from atomata.search import (
     _minimal_finals,
     _pre_tables,
     _reach_subsets,
-    _reachable_bits,
     _reverse_complexity_raw,
 )
-from atomata.semigroup import _generates_full_raw
+from atomata.semigroup import MAX_CLOSURE, _generates_full_raw
 from conftest import (
     enumerate_dfas,
     full_semigroup_transition_tuples,
@@ -97,7 +97,7 @@ def test_enumerate_caps():
 
 def test_enumerate_cap_bounds_the_dfa_count():
     # the cap is the count at n = 4, k = 3; n and k are not bounded apart
-    assert MAX_ENUM_DFAS == _estimated_count(4, 3)
+    assert MAX_ENUM_DFAS == (4**4) ** 3 * 2**4
     assert next(enumerate_dfas(4, 3)).n == 4
     d = next(enumerate_dfas(3, 4))
     assert (d.n, len(d.alphabet)) == (3, 4)
@@ -111,9 +111,7 @@ def test_engine_minimality_matches_public():
         k = rng.randint(1, 3)
         d = random_dfa(rng, n, k)
         maps = tuple(t.map for t in d.deltas)
-        # _is_minimal_raw assumes every state reachable; its callers know it
-        reachable = _reachable_bits(n, maps) == (1 << n) - 1
-        assert (reachable and _is_minimal_raw(n, maps, d.finals.bits)) == is_minimal(d)
+        assert _is_minimal_raw(n, maps, d.finals.bits) == is_minimal(d)
 
 
 def _minimal_finals_by_minimize(n, k, maps):
@@ -133,27 +131,24 @@ def _minimal_finals_by_minimize(n, k, maps):
      (3, 3, 83856)],
 )
 def test_minimal_finals_match_minimize(n, k, minimal):
-    """Every letter tuple that reaches every state, on all its final sets."""
+    """Every letter tuple on all its final sets: a tuple that leaves a state
+    unreachable gives no minimal DFA."""
     total = 0
     for maps in itertools.product(all_maps(n), repeat=k):
-        if _reachable_bits(n, maps) == (1 << n) - 1:
-            mask = _minimal_finals(n, maps)
-            assert mask == _minimal_finals_by_minimize(n, k, maps), maps
-            total += mask.bit_count()
+        mask = _minimal_finals(n, maps)
+        assert mask == _minimal_finals_by_minimize(n, k, maps), maps
+        total += mask.bit_count()
     assert total == minimal
 
 
 @pytest.mark.parametrize("n, count", [(4, 1500), (5, 200), (6, 40)])
 def test_minimal_finals_match_minimize_k3_sample(n, count):
-    """Seeded reachable three-letter tuples, on all their final sets: the
-    sizes where sample mode asks the mask about one final set per draw."""
+    """Seeded three-letter tuples, on all their final sets: the sizes where
+    sample mode asks the mask about one final set per draw."""
     rng = random.Random(11)
-    tuples = 0
-    while tuples < count:
+    for _ in range(count):
         maps = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(3))
-        if _reachable_bits(n, maps) == (1 << n) - 1:
-            assert _minimal_finals(n, maps) == _minimal_finals_by_minimize(n, 3, maps), maps
-            tuples += 1
+        assert _minimal_finals(n, maps) == _minimal_finals_by_minimize(n, 3, maps), maps
 
 
 def test_engine_closure_matches_public():
@@ -319,6 +314,64 @@ def test_campaign_arguments_are_refused(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+N_PAST_THE_CLOSURE = (
+    "n must be at most 10, got 11: a group of units of degree 11 could reach n! elements, "
+    "over the closure bound of 16777216"
+)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+@pytest.mark.parametrize(
+    "campaign", [verify_theorem3, find_converse_counterexamples], ids=["theorem3", "converse"]
+)
+@pytest.mark.parametrize("sharded", [False, True], ids=["direct", "sharded"])
+@pytest.mark.parametrize(
+    "n, k, error, message",
+    [
+        (0, 1, ValueError, "n must be >= 1, got 0"),
+        (2, 0, ValueError, "k must be between 1 and 26, got 0"),
+        (1, 27, ValueError, "k must be between 1 and 26, got 27"),
+        (11, 3, ClosureCapError, N_PAST_THE_CLOSURE),
+    ],
+    ids=["n0", "k0", "k27", "n11"],
+)
+def test_admission_refuses_before_any_work(
+    monkeypatch, campaign, mode, sharded, n, k, error, message
+):
+    """Each refusal names the argument and its bound, in both modes, before
+    any map, draw, atom bound or worker process.  Sampled, k = 0 used to
+    scan 200 DFAs with no letters, and k = 27 to fail at its first record."""
+    import concurrent.futures
+
+    import atomata.search as search
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the run was admitted")
+
+    for name in ("_draw", "_maps_between", "_atom_bounds", "_pair_tables"):
+        monkeypatch.setattr(search, name, refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    kwargs = dict(mode=mode, samples=200, timestamp="t")
+    with pytest.raises(error) as err:
+        if sharded:
+            next(run_sharded(campaign, n, k, workers=2, **kwargs))
+        else:
+            campaign(n, k, **kwargs)
+    assert str(err.value) == message
+
+
+def test_admission_bounds():
+    # n = 10 is the last degree whose group of units the closure bound admits
+    assert math.factorial(MAX_CAMPAIGN_N) <= MAX_CLOSURE < math.factorial(MAX_CAMPAIGN_N + 1)
+    report = find_converse_counterexamples(MAX_CAMPAIGN_N, 3, mode="sample", samples=20)
+    assert report.scanned == 20
+    assert verify_theorem3(2, 26, mode="sample", samples=20).scanned == 20
+    # exhaustive prop1 scans through the same admission, after its witness
+    for k in (0, 27):
+        with pytest.raises(ValueError, match=f"^k must be between 1 and 26, got {k}$"):
+            verify_prop1(2, k=k, mode="exhaustive")
 
 
 def test_example1_fixture(ex1):
@@ -845,10 +898,11 @@ def test_letter_filters_run_once_per_letter_tuple(monkeypatch):
 
 
 def _converse_tuples(n, k):
-    """The letter tuples the converse's letter stage keeps: every state
-    reachable, semigroup not full."""
+    """The letter tuples the converse's letter stage keeps: semigroup not
+    full.  ``_minimal_finals`` gives those that leave a state unreachable no
+    minimal final set."""
     for maps in itertools.product(all_maps(n), repeat=k):
-        if _reachable_bits(n, maps) == (1 << n) - 1 and not _generates_full_raw(maps, n):
+        if not _generates_full_raw(maps, n):
             yield maps
 
 
@@ -906,7 +960,7 @@ def test_maximally_atomic_matches_atom_walk_n4k3_sample():
     totals = [0, 0]
     for _ in range(1000):
         maps = tuple(tuple(rng.randrange(4) for _ in range(4)) for _ in range(3))
-        if _reachable_bits(4, maps) == 15 and not _generates_full_raw(maps, 4):
+        if not _generates_full_raw(maps, 4):
             for i, count in enumerate(_check_final_sets(4, maps)):
                 totals[i] += count
     assert totals[0] > 5000 and totals[1] > 0
