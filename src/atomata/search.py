@@ -42,7 +42,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache, partial
-from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 from .atoms import _reachable_collections
@@ -50,7 +49,9 @@ from .automata import Dfa, _minimal_maps, _reversal_table, _subset_walk
 from .bounds import max_atom_complexities
 from .document import serialize_dfa
 from .errors import ClosureCapError, EnumerationCapError
-from .semigroup import MAX_CLOSURE, _close, _generates_full_raw, _units, syntactic_complexity
+from .semigroup import (
+    MAX_CLOSURE, _close, _generates_full_raw, _set_transitive, syntactic_complexity
+)
 from .stateset import StateSet
 from .transformations import Transformation, identity, make_cycle, make_singular
 
@@ -60,7 +61,7 @@ LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 # the count at n = 4, k = 3.
 MAX_ENUM_DFAS = 1 << 28
 
-# The largest n with n! <= MAX_CLOSURE: every letter stage closes a group of units.
+# The largest n with n! <= MAX_CLOSURE: the full-semigroup test closes the permutation letters.
 MAX_CAMPAIGN_N = 10
 
 # Entries kept by each of the engine's per-letter-tuple caches.  Hits come
@@ -226,13 +227,14 @@ def witness_max_semigroup(n: int) -> Dfa:
 # enumeration and sampling
 
 
-def _admit(n: int, k: int, mode: str) -> None:
+def _admit(n: int, k: int, mode: str, samples=None, limit=None) -> None:
     """Refuse a campaign run that cannot start, before any work; each
-    message names the argument and its bound."""
+    message names the argument and its bound.  None leaves a count unset."""
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    for name, value in (("n", n), ("samples", samples), ("limit", limit)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if not 1 <= k <= len(LETTER_NAMES):
         raise ValueError(f"k must be between 1 and {len(LETTER_NAMES)}, got {k}")
     if n > MAX_CAMPAIGN_N:
@@ -450,29 +452,14 @@ def _maximally_atomic_raw(maps: tuple[tuple[int, ...], ...], n: int) -> bool:
     Brzozowski & Davies (Maximally atomic languages, AFL 2014): it does
     exactly when one letter has rank n-1 and the group of units G, which
     the permutation letters generate, is transitive on the k-subsets of the
-    states for every k.  G must then have at least C(n, n//2) elements.  It
-    is transitive on k-subsets when the orbit of {0..k-1} has C(n, k)
-    members; k up to n/2 suffices, the others follow by complement.  Unlike
-    the full test, one permutation can pass: at n = 3 the 3-cycle
-    generates A_3, which is transitive on 1- and 2-subsets.
+    states for every k (``_set_transitive``).  Unlike the full test, one
+    permutation can pass: at n = 3 the 3-cycle generates A_3, which is
+    transitive on 1- and 2-subsets.
     """
     ranks = [len(set(m)) for m in maps]
-    # the rank of a product is at most the lowest rank among its factors;
-    # without a permutation G is empty
     if n - 1 not in ranks or n not in ranks:
         return False
-    group = _units(maps, n)
-    half = n // 2
-    if len(group) < comb(n, half):
-        return False
-    # orbits[k - 1] holds the images of {0..k-1}, for k = 1..n//2
-    orbits: list[set[int]] = [set() for _ in range(half)]
-    for g in group:
-        image = 0
-        for q, orbit in enumerate(orbits):
-            image |= 1 << g[q]
-            orbit.add(image)
-    return all(len(orbit) == comb(n, k) for k, orbit in enumerate(orbits, 1))
+    return _set_transitive([m for m, rank in zip(maps, ranks) if rank == n], n)
 
 
 @lru_cache(maxsize=None)
@@ -569,7 +556,7 @@ def _scan(report: CampaignReport, letters, check, rules_out=None) -> None:
     """
     params = report.params
     n, k = params["n"], params["k"]
-    _admit(n, k, report.mode)
+    _admit(n, k, report.mode, params.get("samples"), params.get("limit"))
     sigma, filed = tuple(LETTER_NAMES[:k]), [None, ()]  # last letter tuple filed, its deltas
 
     def visit(maps: tuple[tuple[int, ...], ...], pres, fbits: int) -> bool:
@@ -630,9 +617,9 @@ def _atom_campaign(
     """The report of an admitted theorem3 or converse run, and ``measure(pres,
     fbits)``: the atom count, each atom's complexity when all 2^n atoms exist
     (else ``()``), and whether every atom is at its bound."""
-    _admit(n, k, mode)  # before the 2^n bounds
     if mode == "sample":
         params.update(samples=samples, seed=seed)
+    _admit(n, k, mode, params.get("samples"), params.get("limit"))  # before the 2^n bounds
     name = f"{name}-n{n}k{k}-{mode}"
     report = CampaignReport(name, mode, {"n": n, "k": k, **params}, timestamp=_now(timestamp))
     bounds = _atom_bounds(n)
@@ -737,7 +724,7 @@ def run_sharded(
     if kwargs.get("mode", "exhaustive") != "exhaustive":
         yield campaign_func(n, k, **kwargs).to_jsonl_lines()
         return
-    _admit(n, k, "exhaustive")
+    _admit(n, k, "exhaustive", limit=kwargs.get("limit"))
     num_shards = min(n**n, 256)
     run = partial(_run_shard, campaign_func, n, k, dict(kwargs, num_shards=num_shards))
     limit = kwargs.get("limit")
@@ -814,6 +801,8 @@ def verify_prop2(
     before reversing vs. after), so the comparison is informative.  Both run
     the kernels of ``minimize`` and ``determinize`` on the raw draw of
     ``random_dfa`` (``_draw``); only a violation's record builds a Dfa."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     campaign = f"prop2-samples{samples}-seed{seed}"
     params = {"samples": samples, "seed": seed, "max_n": max_state_count, "max_k": max_alphabet}
     report = CampaignReport(campaign, "sample", params, timestamp=_now(timestamp))

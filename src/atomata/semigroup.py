@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Optional, Sequence
 
 from .automata import Dfa, minimize
@@ -223,13 +223,24 @@ def semigroup_summary(d: Dfa) -> SemigroupSummary:
     return replace(sg.summary(), minimized_input=dm.n != d.n)
 
 
-def _units(maps: Sequence[Sequence[int]], n: int) -> list[bytes]:
-    """The group of units of the semigroup the maps of degree n generate,
-    as byte maps: the closure of the permutations among them, at most n!
-    elements, so ``MAX_CLOSURE`` bounds it.  A product is a permutation
-    only when every factor is one, so the other maps add nothing; the
-    group is empty when no map is a permutation."""
-    return _close([m for m in maps if len(set(m)) == n], factorial(n))[0]
+def _set_transitive(perms: Sequence[Sequence[int]], n: int) -> bool:
+    """Whether the group the permutations of degree n generate is transitive on k-subsets
+    for every k: whether the orbit of {0..k-1} has C(n, k) members for k <= n/2, the rest
+    by complement.  Inverses are powers, so the orbit is walked under the generators."""
+    tables = [[0] * (1 << n) for _ in perms]  # per permutation, each subset bitmask's image
+    for p, image in zip(perms, tables):
+        for s in range(1, 1 << n):  # s without its lowest state comes first
+            image[s] = image[s & s - 1] | 1 << p[(s & -s).bit_length() - 1]
+    for k in range(1, n // 2 + 1):
+        orbit, seen = [(1 << k) - 1], {(1 << k) - 1}  # the breadth-first queue, as a set
+        for s in orbit:
+            for image in tables:
+                if image[s] not in seen:
+                    seen.add(image[s])
+                    orbit.append(image[s])
+        if len(orbit) != comb(n, k):
+            return False
+    return True
 
 
 def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
@@ -254,7 +265,7 @@ def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
             has_rank_n1 = True
     if not has_rank_n1 or n > 2 and len(set(perms)) < 2:
         return False
-    return len(_units(perms, n)) == factorial(n)
+    return len(_close(perms, factorial(n))[0]) == factorial(n)
 
 
 def generates_full(gens: Iterable[Transformation], n: int) -> bool:

@@ -56,6 +56,7 @@ from atomata.search import (
     _reverse_complexity_raw,
 )
 from atomata.semigroup import MAX_CLOSURE, _generates_full_raw
+from atomata.transformations import make_cycle, make_singular
 from conftest import (
     enumerate_dfas,
     full_semigroup_transition_tuples,
@@ -277,6 +278,14 @@ def test_empty_ranges_raise(monkeypatch):
         random_dfa(random.Random(1), 0, 1)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_prop2_refuses_samples_below_one(samples):
+    """It used to report the count it was given as scanned and tested."""
+    with pytest.raises(ValueError) as err:
+        verify_prop2(samples=samples, timestamp="t")
+    assert str(err.value) == f"samples must be >= 1, got {samples}"
+
+
 # --- witnesses ---------------------------------------------------------------
 
 
@@ -322,27 +331,47 @@ N_PAST_THE_CLOSURE = (
 )
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+# case: (n, k, arguments past the default ones, error, message)
+REFUSALS = {
+    "n0": (0, 1, {}, ValueError, "n must be >= 1, got 0"),
+    "k0": (2, 0, {}, ValueError, "k must be between 1 and 26, got 0"),
+    "k27": (1, 27, {}, ValueError, "k must be between 1 and 26, got 27"),
+    "n11": (11, 3, {}, ClosureCapError, N_PAST_THE_CLOSURE),
+    "limit0": (3, 2, {"limit": 0}, ValueError, "limit must be >= 1, got 0"),
+    "limit-1": (3, 2, {"limit": -1}, ValueError, "limit must be >= 1, got -1"),
+    "samples0": (3, 2, {"samples": 0}, ValueError, "samples must be >= 1, got 0"),
+    "samples-3": (3, 2, {"samples": -3}, ValueError, "samples must be >= 1, got -3"),
+}
+
+
+def _refusal_params():
+    """Every case in both modes, for both campaigns, direct and sharded,
+    where it applies: only the converse takes a limit, and only sample
+    mode reads ``samples``."""
+    for case, (n, k, extra, error, message) in REFUSALS.items():
+        for sharded, name, mode in itertools.product(
+            ("direct", "sharded"), ("converse", "theorem3"), ("exhaustive", "sample")
+        ):
+            if "limit" in extra and name == "theorem3" or "samples" in extra and mode == "exhaustive":
+                continue
+            campaign = find_converse_counterexamples if name == "converse" else verify_theorem3
+            yield pytest.param(
+                campaign, mode, sharded == "sharded", n, k, extra, error, message,
+                id=f"{case}-{sharded}-{name}-{mode}",
+            )
+
+
 @pytest.mark.parametrize(
-    "campaign", [verify_theorem3, find_converse_counterexamples], ids=["theorem3", "converse"]
-)
-@pytest.mark.parametrize("sharded", [False, True], ids=["direct", "sharded"])
-@pytest.mark.parametrize(
-    "n, k, error, message",
-    [
-        (0, 1, ValueError, "n must be >= 1, got 0"),
-        (2, 0, ValueError, "k must be between 1 and 26, got 0"),
-        (1, 27, ValueError, "k must be between 1 and 26, got 27"),
-        (11, 3, ClosureCapError, N_PAST_THE_CLOSURE),
-    ],
-    ids=["n0", "k0", "k27", "n11"],
+    "campaign, mode, sharded, n, k, extra, error, message", _refusal_params()
 )
 def test_admission_refuses_before_any_work(
-    monkeypatch, campaign, mode, sharded, n, k, error, message
+    monkeypatch, campaign, mode, sharded, n, k, extra, error, message
 ):
     """Each refusal names the argument and its bound, in both modes, before
     any map, draw, atom bound or worker process.  Sampled, k = 0 used to
-    scan 200 DFAs with no letters, and k = 27 to fail at its first record."""
+    scan 200 DFAs with no letters, and k = 27 to fail at its first record.
+    A limit below 1 used to keep one finding, or to fail sharded at the
+    cut, and a sampled run of no samples to scan nothing and say nothing."""
     import concurrent.futures
 
     import atomata.search as search
@@ -353,7 +382,7 @@ def test_admission_refuses_before_any_work(
     for name in ("_draw", "_maps_between", "_atom_bounds", "_pair_tables"):
         monkeypatch.setattr(search, name, refuse)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    kwargs = dict(mode=mode, samples=200, timestamp="t")
+    kwargs = {"mode": mode, "samples": 200, "timestamp": "t", **extra}
     with pytest.raises(error) as err:
         if sharded:
             next(run_sharded(campaign, n, k, workers=2, **kwargs))
@@ -368,6 +397,12 @@ def test_admission_bounds():
     report = find_converse_counterexamples(MAX_CAMPAIGN_N, 3, mode="sample", samples=20)
     assert report.scanned == 20
     assert verify_theorem3(2, 26, mode="sample", samples=20).scanned == 20
+    # an exhaustive scan draws no samples, so it takes samples=0, as the CLI passes it
+    assert verify_theorem3(2, 1, samples=0).scanned == 16
+    lines = list(itertools.chain.from_iterable(
+        run_sharded(find_converse_counterexamples, 2, 1, workers=1, samples=0, limit=1)
+    ))
+    assert json.loads(lines[-1])["scanned"] == 16
     # exhaustive prop1 scans through the same admission, after its witness
     for k in (0, 27):
         with pytest.raises(ValueError, match=f"^k must be between 1 and 26, got {k}$"):
@@ -974,6 +1009,29 @@ def test_maximally_atomic_passes_a_cyclic_group():
     assert not _maximally_atomic_raw(((1, 2, 0), (0, 0, 0)), 3)  # no rank-2 letter
     assert not _maximally_atomic_raw(((1, 0, 2), (0, 0, 2)), 3)  # a transposition: intransitive
     assert not _maximally_atomic_raw(((0,),), 1)
+
+
+def _alternating_witness(n):
+    """Letters (0 1 2), the n-cycle for odd n or (1 2 ... n-1) for even n, and
+    n-1 -> 0.  Both cycles are even, and they generate A_n."""
+    cycle = range(n) if n % 2 else range(1, n)
+    return tuple(
+        t.map for t in (make_cycle(n, (0, 1, 2)), make_cycle(n, cycle), make_singular(n, n - 1, 0))
+    )
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_maximally_atomic_accepts_the_alternating_witness(n):
+    """A_n is transitive on k-subsets for every k.  Up to n = 6 the atom walk
+    agrees, on the final set {n-1}, and the semigroup is not full: it is A_n
+    and every singular map."""
+    maps = _alternating_witness(n)
+    assert _maximally_atomic_raw(maps, n)
+    if n <= 6:
+        fbits = 1 << n - 1
+        assert _minimal_finals(n, maps) >> fbits & 1
+        assert _walk_is_maximally_atomic(n, _pre_tables(n, maps), fbits)
+        assert len(worklist_closure(maps)) == n**n - math.factorial(n) // 2
 
 
 def test_engine_caches_are_bounded():

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomata import (
     StateSet,
@@ -31,7 +32,7 @@ from atomata.semigroup import (  # noqa: SLF001 - exercised directly
     _close,
     _closure,
     _generates_full_raw,
-    _units,
+    _set_transitive,
 )
 from atomata.transformations import inverse
 from conftest import full_semigroup_transition_tuples, make_dfa, worklist_closure
@@ -81,12 +82,81 @@ def test_generates_full_edge_cases():
 )
 def test_full_criterion_matches_closure_exhaustive(n, k):
     """The generator criterion agrees with the closure on every letter
-    tuple, and the group of units is the permutations in the closure."""
+    tuple."""
     for maps in itertools.product(all_maps(n), repeat=k):
         closure = worklist_closure(maps)
         assert _generates_full_raw(maps, n) == (len(closure) == n**n), maps
-        units = {t for t in closure if len(set(t)) == n}
-        assert set(map(tuple, _units(maps, n))) == units, maps
+
+
+# --- the k-set orbit test ----------------------------------------------------
+#
+# Its oracle lists the group with the reference closure, which shares no code
+# with the orbit walk, and reads every orbit off the group's elements.
+
+
+def _orbits_are_full(perms, n):
+    """Whether each orbit of {0..k-1}, k <= n/2, under the closed group has
+    C(n, k) members."""
+    group = worklist_closure(perms)
+    return all(
+        len({frozenset(g[:k]) for g in group}) == math.comb(n, k) for k in range(1, n // 2 + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_set_transitive_matches_closure_on_every_pair(n):
+    """No permutation, one, and every ordered pair."""
+    perms = list(itertools.permutations(range(n)))
+    verdicts = []
+    for size in (0, 1, 2):
+        for gens in itertools.product(perms, repeat=size):
+            verdicts.append(_set_transitive(gens, n))
+            assert verdicts[-1] == _orbits_are_full(gens, n), gens
+    assert any(verdicts) and (n < 2 or not all(verdicts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    )
+)
+def test_set_transitive_matches_closure_drawn(drawn):
+    n, perms = drawn
+    perms = [tuple(p) for p in perms]
+    assert _set_transitive(perms, n) == _orbits_are_full(perms, n)
+
+
+def _projective_inverse(x):
+    """x -> -1/x on the projective line over GF(5), infinity as 5."""
+    return 5 if x == 0 else 0 if x == 5 else -pow(x, -1, 5) % 5
+
+
+@pytest.mark.parametrize(
+    "gens, order, transitive",
+    [
+        # AGL(1,5): x + 1 and 2x on Z_5, 2-transitive
+        ([[(x + 1) % 5 for x in range(5)], [2 * x % 5 for x in range(5)]], 20, True),
+        # PGL(2,5): x + 1, 2x and -1/x on the projective line over GF(5), 3-transitive
+        (
+            [
+                [(x + 1) % 5 for x in range(5)] + [5],
+                [2 * x % 5 for x in range(5)] + [5],
+                [_projective_inverse(x) for x in range(6)],
+            ],
+            120,
+            True,
+        ),
+        # D_5: x + 1 and -x on Z_5; {0, 1} and {0, 2} lie in different orbits
+        ([[(x + 1) % 5 for x in range(5)], [-x % 5 for x in range(5)]], 10, False),
+    ],
+    ids=["AGL(1,5)", "PGL(2,5)", "D_5"],
+)
+def test_set_transitive_on_named_groups(gens, order, transitive):
+    gens = [tuple(g) for g in gens]
+    n = len(gens[0])
+    assert len(worklist_closure(gens)) == order
+    assert _set_transitive(gens, n) == _orbits_are_full(gens, n) == transitive
 
 
 # sha256 of the verdicts of _generates_full_raw on all (3^3)^3 letter triples,
