@@ -111,12 +111,9 @@ def eta_letter(d: Dfa, s: StateSet, a: str) -> Optional[Interval]:
 
 
 def _check_interval_preimages(t: Transformation, iv: Interval) -> None:
-    """Verify that every member of iv is a preimage of t, or raise.
-
-    Members are enumerated: callers run ``_require_full`` first, whose
-    full-semigroup test closes n! permutations under the closure bound and
-    so keeps n <= 10; an interval has at most 2^10 members.
-    """
+    """Verify that every member of iv is a preimage of t, or raise.  The at most 2^n
+    members are enumerated, as many as the subset table per permutation letter that
+    the full-semigroup test of ``_require_full``, run first by every caller, builds."""
     for member in iv.members():
         if not is_preimage(t, member):
             raise FullSemigroupError(f"{member.label()} in {iv!r} is not a preimage of {t}")

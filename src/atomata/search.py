@@ -53,16 +53,13 @@ from .semigroup import (
     MAX_CLOSURE, _close, _generates_full_raw, _set_transitive, syntactic_complexity
 )
 from .stateset import StateSet
-from .transformations import Transformation, identity, make_cycle, make_singular
+from .transformations import Transformation, _check_degree_cap, identity, make_cycle, make_singular
 
 LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 # Exhaustive campaigns refuse to scan more DFAs than this: (4^4)^3 * 2^4,
 # the count at n = 4, k = 3.
 MAX_ENUM_DFAS = 1 << 28
-
-# The largest n with n! <= MAX_CLOSURE: the full-semigroup test closes the permutation letters.
-MAX_CAMPAIGN_N = 10
 
 # Entries kept by each of the engine's per-letter-tuple caches.  Hits come
 # only from the consecutive final-state sets of one letter tuple (sampled
@@ -237,11 +234,7 @@ def _admit(n: int, k: int, mode: str, samples=None, limit=None) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
     if not 1 <= k <= len(LETTER_NAMES):
         raise ValueError(f"k must be between 1 and {len(LETTER_NAMES)}, got {k}")
-    if n > MAX_CAMPAIGN_N:
-        raise ClosureCapError(
-            f"n must be at most {MAX_CAMPAIGN_N}, got {n}: a group of units of degree {n} "
-            f"could reach n! elements, over the closure bound of {MAX_CLOSURE}"
-        )
+    _check_degree_cap(n)
     if mode == "exhaustive" and (count := (n**n) ** k * 2**n) > MAX_ENUM_DFAS:
         raise EnumerationCapError(
             f"exhaustive enumeration at n={n}, k={k} is over the cap: "
@@ -518,6 +511,7 @@ def _reverse_complexity_raw(n: int, maps: tuple[tuple[int, ...], ...], fbits: in
     return len(_minimal_maps(len(order), cols, rfbits)[0][0])
 
 
+@lru_cache(maxsize=None)
 def _atom_bounds(n: int) -> tuple[int, ...]:
     """Complexity bound of the atom labeled S, indexed by S's bitmask."""
     row = max_atom_complexities(n)
@@ -619,15 +613,14 @@ def _atom_campaign(
     (else ``()``), and whether every atom is at its bound."""
     if mode == "sample":
         params.update(samples=samples, seed=seed)
-    _admit(n, k, mode, params.get("samples"), params.get("limit"))  # before the 2^n bounds
+    _admit(n, k, mode, params.get("samples"), params.get("limit"))
     name = f"{name}-n{n}k{k}-{mode}"
     report = CampaignReport(name, mode, {"n": n, "k": k, **params}, timestamp=_now(timestamp))
-    bounds = _atom_bounds(n)
 
     def measure(pres, fbits: int) -> tuple[int, tuple[int, ...], bool]:
         atoms = _reach_subsets(n, pres, fbits)
         comps = _atom_complexities(pres, n) if atoms == 1 << n else ()
-        return atoms, comps, comps == bounds
+        return atoms, comps, comps == _atom_bounds(n)
 
     return report, measure
 
@@ -688,6 +681,11 @@ def find_converse_counterexamples(
         "search-converse", n, k, mode, samples, seed, timestamp,
         limit=limit, shard=shard, num_shards=num_shards,
     )
+    if n**n > MAX_CLOSURE:
+        raise ClosureCapError(
+            f"the converse at n = {n} is refused: each finding's record closes its letters, "
+            f"which could reach {n**n} elements, over the closure bound of {MAX_CLOSURE}"
+        )
     _scan(
         report,
         lambda maps: not _generates_full_raw(maps, n),

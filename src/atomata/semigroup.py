@@ -5,18 +5,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import comb, factorial
+from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .automata import Dfa, minimize
 from .errors import ClosureCapError, DegreeMismatchError
-from .transformations import Transformation
+from .transformations import Transformation, _check_degree_cap
 
 # The closure holds each map as a byte string, so no degree past this.
 MAX_BYTE_DEGREE = 256
 # The most elements a closure may hold, |T_8|; the closure of the n = 8
-# witness peaks near 1.5 GB of RSS.  It admits n^n closures up to n = 8
-# and the n! permutation closures of the full-semigroup test up to n = 10.
+# witness peaks near 1.5 GB of RSS.  It admits n^n closures up to n = 8;
+# the full-semigroup test asks for at most 121 permutations.
 MAX_CLOSURE = 8**8
 
 
@@ -223,6 +224,9 @@ def semigroup_summary(d: Dfa) -> SemigroupSummary:
     return replace(sg.summary(), minimized_input=dm.n != d.n)
 
 
+# Beaumont & Peterson (Set-transitive permutation groups, Canad. J. Math. 1955): the groups
+# transitive on k-subsets for every k are A_n, S_n, AGL(1,5), PGL(2,5), PGL(2,8), PΓL(2,8).
+# With an odd permutation only S_n, AGL(1,5) (n = 5, order 20) and PGL(2,5) (n = 6, order 120).
 def _set_transitive(perms: Sequence[Sequence[int]], n: int) -> bool:
     """Whether the group the permutations of degree n generate is transitive on k-subsets
     for every k: whether the orbit of {0..k-1} has C(n, k) members for k <= n/2, the rest
@@ -246,12 +250,11 @@ def _set_transitive(perms: Sequence[Sequence[int]], n: int) -> bool:
 def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
     """Whether the map tuples generate all n^n self-maps of {0..n-1}.
 
-    For n >= 2 a set of maps generates T_n exactly when its permutations
-    generate S_n and one of its maps has rank n-1 (Howie, Fundamentals of
-    Semigroup Theory, 1995; Ganyushkin & Mazorchuk, Classical Finite
-    Transformation Semigroups, 2009).  Only the group of units is closed,
-    at most n! elements instead of n^n, and only when there are two
-    distinct permutations: S_n is not cyclic for n >= 3.
+    For n >= 2 exactly when a map has rank n-1 and the permutations generate S_n (Howie,
+    Fundamentals of Semigroup Theory, 1995; Ganyushkin & Mazorchuk, Classical Finite
+    Transformation Semigroups, 2009): two are distinct (S_n is not cyclic for n >= 3), one
+    is odd (an odd number of inversions), their group is set-transitive, and at n = 5 and 6
+    its closure, asked for at most 121 elements, passes the order of the odd exception.
     """
     if n == 1:
         return bool(maps)
@@ -265,15 +268,17 @@ def _generates_full_raw(maps: Sequence[tuple[int, ...]], n: int) -> bool:
             has_rank_n1 = True
     if not has_rank_n1 or n > 2 and len(set(perms)) < 2:
         return False
-    return len(_close(perms, factorial(n))[0]) == factorial(n)
+    if not any(sum(a > b for a, b in combinations(p, 2)) & 1 for p in perms):
+        return False
+    order = {5: 20, 6: 120}.get(n)  # AGL(1,5) and PGL(2,5)
+    return _set_transitive(perms, n) and (order is None or len(_close(perms, order + 1)[0]) > order)
 
 
 def generates_full(gens: Iterable[Transformation], n: int) -> bool:
-    """Whether the given transformations generate all n^n self-maps.
-
-    Past n = 10, where n! exceeds ``MAX_CLOSURE``, it raises
-    ``ClosureCapError`` whenever the permutations must be closed.
-    """
+    """Whether the given transformations generate all n^n self-maps; no closure is asked
+    for more than 121 elements (``_generates_full_raw``).  The degree cap bounds the
+    orbit walk's tables of 2^n subsets per permutation letter."""
+    _check_degree_cap(n)
     gens = list(gens)
     for t in gens:
         if t.n != n:

@@ -14,6 +14,7 @@ from atomata.search import (
 )
 from atomata.errors import ClosureCapError
 from atomata.semigroup import MAX_CLOSURE, _close, _generates_full_raw
+from atomata.transformations import make_cycle, make_singular
 
 
 @pytest.fixture
@@ -121,6 +122,15 @@ def worklist_closure(maps):
                 seen.add(comp)
                 work.append(comp)
     return seen
+
+
+def alternating_witness(n):
+    """Letters (0 1 2), the n-cycle for odd n or (1 2 ... n-1) for even n, and
+    n-1 -> 0, as map tuples.  Both cycles are even, and they generate A_n."""
+    cycle = range(n) if n % 2 else range(1, n)
+    return tuple(
+        t.map for t in (make_cycle(n, (0, 1, 2)), make_cycle(n, cycle), make_singular(n, n - 1, 0))
+    )
 
 
 def subset_of(m, mask):

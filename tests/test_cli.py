@@ -802,8 +802,9 @@ def test_caps_refuse_before_any_shard(capsys, monkeypatch, n, k):
 
 
 def test_sampled_campaign_past_the_closure_bound_is_refused_before_any_draw(capsys, monkeypatch):
-    """At n = 11 the letter stage cannot close a group of units; the run
-    used to fail there after 127,416 draws."""
+    """From n = 9 a converse finding's record cannot close its letters, up to
+    n^n elements.  At n = 11 the run used to fail after 127,416 draws, when
+    the letter stage closed a group of units."""
     import atomata.search as search
 
     def no_draw(*args):
@@ -814,7 +815,7 @@ def test_sampled_campaign_past_the_closure_bound_is_refused_before_any_draw(caps
     code, out, err = _run(capsys, argv + ["--timestamp", "T"])
     assert code == 1
     assert out == ""
-    assert "atomata: error: n must be at most 10, got 11" in err
+    assert "atomata: error: the converse at n = 11 is refused: each finding's record" in err
     assert "over the closure bound of 16777216" in err
 
 

@@ -24,9 +24,8 @@ from atomata import (
 )
 from atomata.cli import parse_dfa
 from atomata.document import serialize_dfa
-from atomata.errors import ClosureCapError, EnumerationCapError
+from atomata.errors import ClosureCapError, DegreeCapError, EnumerationCapError
 from atomata.search import (
-    MAX_CAMPAIGN_N,
     MAX_ENUM_DFAS,
     CampaignRecord,
     CampaignReport,
@@ -56,8 +55,9 @@ from atomata.search import (
     _reverse_complexity_raw,
 )
 from atomata.semigroup import MAX_CLOSURE, _generates_full_raw
-from atomata.transformations import make_cycle, make_singular
+from atomata.transformations import MAX_DEGREE
 from conftest import (
+    alternating_witness,
     enumerate_dfas,
     full_semigroup_transition_tuples,
     make_dfa,
@@ -299,11 +299,11 @@ def test_witness_max_semigroup_values():
     assert max(rep.complexity for rep in reports) == 43
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, MAX_DEGREE + 1))
 def test_witness_max_semigroup_is_full(n):
     """The construction is classical: a transposition and an n-cycle
-    generate S_n, and a rank n-1 map adds the rest of T_n.  At n = 10 the
-    test would close 10! permutations."""
+    generate S_n, and a rank n-1 map adds the rest of T_n.  Up to the
+    degree cap the full test decides it without closing S_n."""
     w = witness_max_semigroup(n)
     assert generates_full(w.deltas, n)
     assert syntactic_complexity(w) == n**n
@@ -325,9 +325,13 @@ def test_campaign_arguments_are_refused(call, message):
     assert str(err.value) == message
 
 
-N_PAST_THE_CLOSURE = (
-    "n must be at most 10, got 11: a group of units of degree 11 could reach n! elements, "
-    "over the closure bound of 16777216"
+PAST_THE_DEGREE_CAP = (
+    f"degree {MAX_DEGREE + 1} exceeds cap {MAX_DEGREE} "
+    "(raise atomata.transformations.MAX_DEGREE to override)"
+)
+PAST_THE_RECORD_CLOSURE = (
+    "the converse at n = 9 is refused: each finding's record closes its letters, "
+    "which could reach 387420489 elements, over the closure bound of 16777216"
 )
 
 
@@ -336,7 +340,8 @@ REFUSALS = {
     "n0": (0, 1, {}, ValueError, "n must be >= 1, got 0"),
     "k0": (2, 0, {}, ValueError, "k must be between 1 and 26, got 0"),
     "k27": (1, 27, {}, ValueError, "k must be between 1 and 26, got 27"),
-    "n11": (11, 3, {}, ClosureCapError, N_PAST_THE_CLOSURE),
+    f"n{MAX_DEGREE + 1}": (MAX_DEGREE + 1, 3, {}, DegreeCapError, PAST_THE_DEGREE_CAP),
+    "n9": (9, 3, {}, ClosureCapError, PAST_THE_RECORD_CLOSURE),
     "limit0": (3, 2, {"limit": 0}, ValueError, "limit must be >= 1, got 0"),
     "limit-1": (3, 2, {"limit": -1}, ValueError, "limit must be >= 1, got -1"),
     "samples0": (3, 2, {"samples": 0}, ValueError, "samples must be >= 1, got 0"),
@@ -346,13 +351,16 @@ REFUSALS = {
 
 def _refusal_params():
     """Every case in both modes, for both campaigns, direct and sharded,
-    where it applies: only the converse takes a limit, and only sample
-    mode reads ``samples``."""
+    where it applies: only the converse takes a limit and closes its
+    records' letters, and only sample mode reads ``samples``.  An
+    exhaustive run at n = 9 is over the enumeration cap before that."""
     for case, (n, k, extra, error, message) in REFUSALS.items():
         for sharded, name, mode in itertools.product(
             ("direct", "sharded"), ("converse", "theorem3"), ("exhaustive", "sample")
         ):
-            if "limit" in extra and name == "theorem3" or "samples" in extra and mode == "exhaustive":
+            converse_only = "limit" in extra or case == "n9"
+            sample_only = "samples" in extra or case == "n9"
+            if converse_only and name == "theorem3" or sample_only and mode == "exhaustive":
                 continue
             campaign = find_converse_counterexamples if name == "converse" else verify_theorem3
             yield pytest.param(
@@ -392,10 +400,11 @@ def test_admission_refuses_before_any_work(
 
 
 def test_admission_bounds():
-    # n = 10 is the last degree whose group of units the closure bound admits
-    assert math.factorial(MAX_CAMPAIGN_N) <= MAX_CLOSURE < math.factorial(MAX_CAMPAIGN_N + 1)
-    report = find_converse_counterexamples(MAX_CAMPAIGN_N, 3, mode="sample", samples=20)
-    assert report.scanned == 20
+    # theorem3 runs up to the degree cap: its full test closes no group past n = 6
+    assert verify_theorem3(MAX_DEGREE, 3, mode="sample", samples=20).scanned == 20
+    # the converse runs while a finding's record can close its letters
+    assert 8**8 <= MAX_CLOSURE < 9**9
+    assert find_converse_counterexamples(8, 3, mode="sample", samples=20).scanned == 20
     assert verify_theorem3(2, 26, mode="sample", samples=20).scanned == 20
     # an exhaustive scan draws no samples, so it takes samples=0, as the CLI passes it
     assert verify_theorem3(2, 1, samples=0).scanned == 16
@@ -407,6 +416,25 @@ def test_admission_bounds():
     for k in (0, 27):
         with pytest.raises(ValueError, match=f"^k must be between 1 and 26, got {k}$"):
             verify_prop1(2, k=k, mode="exhaustive")
+
+
+def test_converse_past_the_record_closure_is_refused_before_any_draw(monkeypatch):
+    """The A_9 witness on final set {8} is a finding: minimal, maximally
+    atomic, not full.  Its record would close its letters, up to 9^9
+    elements, so the converse at n = 9 used to fail after the draw."""
+    import atomata.search as search
+
+    draws = []
+
+    def draw(bits, n, k):
+        draws.append(n)
+        return alternating_witness(9), 1 << 8
+
+    monkeypatch.setattr(search, "_draw", draw)
+    with pytest.raises(ClosureCapError) as err:
+        find_converse_counterexamples(9, 3, mode="sample", samples=1, timestamp="t")
+    assert str(err.value) == PAST_THE_RECORD_CLOSURE
+    assert draws == []
 
 
 def test_example1_fixture(ex1):
@@ -1011,22 +1039,13 @@ def test_maximally_atomic_passes_a_cyclic_group():
     assert not _maximally_atomic_raw(((0,),), 1)
 
 
-def _alternating_witness(n):
-    """Letters (0 1 2), the n-cycle for odd n or (1 2 ... n-1) for even n, and
-    n-1 -> 0.  Both cycles are even, and they generate A_n."""
-    cycle = range(n) if n % 2 else range(1, n)
-    return tuple(
-        t.map for t in (make_cycle(n, (0, 1, 2)), make_cycle(n, cycle), make_singular(n, n - 1, 0))
-    )
-
-
-@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("n", range(4, MAX_DEGREE + 1))
 def test_maximally_atomic_accepts_the_alternating_witness(n):
-    """A_n is transitive on k-subsets for every k.  Up to n = 6 the atom walk
-    agrees, on the final set {n-1}, and the semigroup is not full: it is A_n
-    and every singular map."""
-    maps = _alternating_witness(n)
-    assert _maximally_atomic_raw(maps, n)
+    """A_n is transitive on k-subsets for every k, and has no odd element, so
+    the full test refuses it.  Up to n = 6 the atom walk agrees, on the final
+    set {n-1}, and the semigroup is not full: it is A_n and every singular map."""
+    maps = alternating_witness(n)
+    assert _maximally_atomic_raw(maps, n) and not _generates_full_raw(maps, n)
     if n <= 6:
         fbits = 1 << n - 1
         assert _minimal_finals(n, maps) >> fbits & 1

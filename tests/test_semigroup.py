@@ -22,7 +22,7 @@ from atomata import (
     transition_semigroup,
     word_for,
 )
-from atomata.errors import ClosureCapError, DegreeMismatchError
+from atomata.errors import ClosureCapError, DegreeCapError, DegreeMismatchError
 from atomata.search import (
     all_maps,
     witness_max_semigroup,
@@ -34,8 +34,10 @@ from atomata.semigroup import (  # noqa: SLF001 - exercised directly
     _generates_full_raw,
     _set_transitive,
 )
-from atomata.transformations import inverse
-from conftest import full_semigroup_transition_tuples, make_dfa, worklist_closure
+from atomata.transformations import MAX_DEGREE, inverse
+from conftest import (
+    alternating_witness, full_semigroup_transition_tuples, make_dfa, worklist_closure
+)
 
 
 def test_example1_closure_size(ex1):
@@ -75,6 +77,11 @@ def test_generates_full_edge_cases():
     assert generates_full([identity(1)], 1)
     with pytest.raises(DegreeMismatchError):
         generates_full([identity(2)], 3)
+    # the degree cap bounds the orbit walk's tables of 2^n subsets per letter
+    n = MAX_DEGREE + 1
+    wide = [make_transposition(MAX_DEGREE, 0, 1).map + (n - 1,), (*range(1, n), 0)]
+    with pytest.raises(DegreeCapError, match=f"^degree {n} exceeds cap {MAX_DEGREE} "):
+        generates_full(map(Transformation, wide), n)
 
 
 @pytest.mark.parametrize(
@@ -132,31 +139,114 @@ def _projective_inverse(x):
     return 5 if x == 0 else 0 if x == 5 else -pow(x, -1, 5) % 5
 
 
+def _gf8_mul(a, b):
+    """Product in GF(8) = GF(2)[x]/(x^3 + x + 1), elements as bit vectors."""
+    r = 0
+    for i in range(3):
+        if b >> i & 1:
+            r ^= a << i
+    for i in (4, 3):
+        if r >> i & 1:
+            r ^= 0b1011 << i - 3
+    return r
+
+
+def _projective_line_8(f):
+    """The permutation of the projective line over GF(8), infinity as 8,
+    that f induces on the field and that fixes infinity."""
+    return tuple(f(x) for x in range(8)) + (8,)
+
+
+# the set-transitive groups besides A_n and S_n (Beaumont & Peterson)
+AGL_1_5 = [tuple((x + 1) % 5 for x in range(5)), tuple(2 * x % 5 for x in range(5))]
+PGL_2_5 = [g + (5,) for g in AGL_1_5] + [tuple(_projective_inverse(x) for x in range(6))]
+PGL_2_8 = [
+    _projective_line_8(lambda x: x ^ 1),  # x + 1
+    _projective_line_8(lambda x: _gf8_mul(2, x)),  # x times a root of x^3 + x + 1
+    # 1/x, which swaps 0 and infinity
+    tuple(8 if x == 0 else 0 if x == 8 else next(y for y in range(1, 8) if _gf8_mul(x, y) == 1)
+          for x in range(9)),
+]
+PGAMMAL_2_8 = PGL_2_8 + [_projective_line_8(lambda x: _gf8_mul(x, x))]  # and x^2
+
+
+def _rank_drop(p, i, j):
+    """The permutation p with state i sent where j goes: rank n-1."""
+    return tuple(p[j] if q == i else p[q] for q in range(len(p)))
+
+
 @pytest.mark.parametrize(
     "gens, order, transitive",
     [
-        # AGL(1,5): x + 1 and 2x on Z_5, 2-transitive
-        ([[(x + 1) % 5 for x in range(5)], [2 * x % 5 for x in range(5)]], 20, True),
-        # PGL(2,5): x + 1, 2x and -1/x on the projective line over GF(5), 3-transitive
-        (
-            [
-                [(x + 1) % 5 for x in range(5)] + [5],
-                [2 * x % 5 for x in range(5)] + [5],
-                [_projective_inverse(x) for x in range(6)],
-            ],
-            120,
-            True,
-        ),
+        (AGL_1_5, 20, True),  # x + 1 and 2x on Z_5, 2-transitive
+        (PGL_2_5, 120, True),  # and -1/x on the projective line over GF(5), 3-transitive
+        (PGL_2_8, 504, True),
+        (PGAMMAL_2_8, 1512, True),
         # D_5: x + 1 and -x on Z_5; {0, 1} and {0, 2} lie in different orbits
         ([[(x + 1) % 5 for x in range(5)], [-x % 5 for x in range(5)]], 10, False),
     ],
-    ids=["AGL(1,5)", "PGL(2,5)", "D_5"],
+    ids=["AGL(1,5)", "PGL(2,5)", "PGL(2,8)", "PGammaL(2,8)", "D_5"],
 )
 def test_set_transitive_on_named_groups(gens, order, transitive):
+    """None is S_n, so with a letter of rank n-1 none is full.  AGL(1,5) and
+    PGL(2,5) hold an odd permutation: only the full test's closure of at
+    most 121 elements tells them from S_n."""
     gens = [tuple(g) for g in gens]
     n = len(gens[0])
     assert len(worklist_closure(gens)) == order
     assert _set_transitive(gens, n) == _orbits_are_full(gens, n) == transitive
+    assert not _generates_full_raw(gens + [_rank_drop(gens[0], 0, 1)], n)
+
+
+# --- the full test: parity, set-transitivity, and a closure of at most 121 --
+#
+# Its oracle closes the permutation letters with the reference closure: the
+# letters generate T_n exactly when they generate S_n and one has rank n-1.
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.permutations(range(n)), min_size=1, max_size=4),
+            st.permutations(range(n)),
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+            st.integers(0, 4),
+        )
+    )
+)
+def test_full_test_matches_closure_drawn(drawn):
+    n, perms, p, (i, j), at = drawn
+    perms = [tuple(q) for q in perms]
+    maps = perms[:at] + [_rank_drop(p, i, j)] + perms[at:]
+    assert _generates_full_raw(maps, n) == (len(worklist_closure(perms)) == math.factorial(n))
+
+
+def test_full_test_accepts_pgl_2_8_and_a_transposition():
+    perms = PGL_2_8 + [make_transposition(9, 0, 1).map]
+    assert len(worklist_closure(perms)) == math.factorial(9)
+    assert _generates_full_raw(perms + [make_singular(9, 8, 0).map], 9)
+
+
+def test_full_test_closes_at_most_121_elements(monkeypatch):
+    """Only at n = 5 and 6 is a group closed, and never asked for more than
+    one element past the order of the odd exception."""
+    import atomata.semigroup as semigroup
+
+    limits = []
+
+    def close(maps, limit, letters=None):
+        limits.append((len(maps[0]), limit))
+        return _close(maps, limit, letters)
+
+    monkeypatch.setattr(semigroup, "_close", close)
+    for n in range(2, MAX_DEGREE + 1):
+        assert _generates_full_raw([t.map for t in witness_max_semigroup(n).deltas], n)
+        assert n < 4 or not _generates_full_raw(alternating_witness(n), n)
+    for perms in (AGL_1_5, PGL_2_5, PGL_2_8):
+        assert not _generates_full_raw(perms + [_rank_drop(perms[0], 0, 1)], len(perms[0]))
+    assert set(limits) == {(5, 21), (6, 121)}
 
 
 # sha256 of the verdicts of _generates_full_raw on all (3^3)^3 letter triples,
@@ -334,15 +424,12 @@ def test_closure_bound_on_degrees_9_and_11(closure_bound):
     w9 = witness_max_semigroup(9)
     with pytest.raises(ClosureCapError, match="degree 9 could reach 387420489 elements"):
         transition_semigroup(w9)
-    # a transposition and a 9-cycle generate S_9, and c has rank 8
-    assert generates_full(w9.deltas, 9)
-    # (0 1 2) and the 9-cycle are even, so they generate at most A_9
-    even = [make_cycle(9, (0, 1, 2)), make_cycle(9, range(9)), make_singular(9, 8, 0)]
-    assert not generates_full(even, 9)
-    # 11! = 39916800 permutations are over the bound
-    gens11 = [make_transposition(11, 0, 1), make_cycle(11, range(11)), make_singular(11, 10, 0)]
-    with pytest.raises(ClosureCapError, match="degree 11 could reach 39916800 elements"):
-        generates_full(gens11, 11)
+    # the full test closes no group there, nor S_n: a transposition and an
+    # n-cycle generate S_n, and c has rank n-1
+    for n in (9, 11, 12):
+        assert generates_full(witness_max_semigroup(n).deltas, n)
+        # (0 1 2) and an odd-length cycle are even, so they generate at most A_n
+        assert not generates_full(map(Transformation, alternating_witness(n)), n)
 
 
 def test_rank_histogram_full(ex1):
